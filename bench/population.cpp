@@ -12,11 +12,10 @@
 // percentiles across attacked devices -- and *enforces* the population
 // determinism guarantee: the same master seed must produce identical
 // reports (per-device records included) across {1, 2, auto} worker
-// threads, {2, 4} shard layouts, AND both execution models (the fused
-// work-stealing scheduler vs the threaded per-channel rings); any
-// mismatch fails the run.
+// threads, {2, 4} shard layouts, AND both ingestion lanes (the default
+// span lane vs the per-bit oracle); any mismatch fails the run.
 //
-// Results go to BENCH_population.json (schema "otf-population/2", see
+// Results go to BENCH_population.json (schema "otf-population/3", see
 // docs/BENCHMARKS.md; OTF_BENCH_DIR / --bench-dir= override the output
 // directory).
 #include "base/env.hpp"
@@ -56,35 +55,35 @@ int main(int argc, char** argv)
                 static_cast<unsigned long long>(cfg.windows_per_device),
                 cfg.block.name.c_str(), cfg.escalated_block->name.c_str());
 
-    // The determinism sweep: shard/thread layout must be invisible in the
-    // report.  The first layout is the reference everything else (and the
-    // JSON) is checked against.
+    // The determinism sweep: shard/thread layout and ingestion lane must
+    // be invisible in the report.  The first layout is the reference
+    // everything else (and the JSON) is checked against.
     struct layout {
         unsigned shards;
         unsigned threads_per_shard; // 0 = auto
-        core::fleet_execution execution;
+        core::ingest_lane lane;
     };
     const std::vector<layout> layouts = {
-        {2, 0, core::fleet_execution::fused},
-        {2, 1, core::fleet_execution::fused},
-        {2, 2, core::fleet_execution::fused},
-        {4, 2, core::fleet_execution::fused},
-        {2, 2, core::fleet_execution::threaded}};
+        {2, 0, core::ingest_lane::span},
+        {2, 1, core::ingest_lane::span},
+        {2, 2, core::ingest_lane::span},
+        {4, 2, core::ingest_lane::span},
+        {2, 2, core::ingest_lane::per_bit}};
 
     std::vector<core::population_report> reports;
     bool deterministic = true;
     for (const layout& l : layouts) {
         cfg.shards = l.shards;
         cfg.threads_per_shard = l.threads_per_shard;
-        cfg.execution = l.execution;
+        cfg.lane = l.lane;
         core::population_monitor pop(cfg);
         reports.push_back(pop.run());
         const core::population_report& r = reports.back();
         const bool same = r.same_counters(reports.front());
         deterministic = deterministic && same;
-        std::printf("layout %u shards x %u threads (%s): %.2fs, "
+        std::printf("layout %u shards x %u threads (%s lane): %.2fs, "
                     "%.2f Mbit/s, %llu steals, counters %s\n",
-                    l.shards, l.threads_per_shard, r.execution.c_str(),
+                    l.shards, l.threads_per_shard, r.lane.c_str(),
                     r.seconds, r.bits_per_second() / 1e6,
                     static_cast<unsigned long long>(r.steals),
                     same ? "match" : "MISMATCH");
@@ -111,12 +110,13 @@ int main(int argc, char** argv)
     }
     if (!deterministic) {
         std::fprintf(stderr,
-                     "FAIL: report depends on the shard/thread layout\n");
+                     "FAIL: report depends on the shard/thread layout "
+                     "or the lane\n");
     }
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-population/2");
+    json.value("schema", "otf-population/3");
     json.value("smoke", smoke_mode());
     json.value("design", cfg.block.name);
     json.value("escalated_design", cfg.escalated_block->name);
@@ -181,9 +181,6 @@ int main(int argc, char** argv)
         json.value("channels_in_alarm", sr.channels_in_alarm);
         json.value("escalations", sr.escalations);
         json.value("confirmed_escalations", sr.confirmed_escalations);
-        json.value("producer_stalls", sr.producer_stalls);
-        json.value("consumer_stalls", sr.consumer_stalls);
-        json.value("seconds", sr.seconds);
         json.end_object();
     }
     json.end_array();

@@ -4,26 +4,26 @@
 //   $ ./bench_stream_throughput            # full run (enforces the bar)
 //   $ OTF_SMOKE=1 ./bench_stream_throughput  # ctest / verify.sh smoke entry
 //
-// Four measurements on the n = 65536 high-tier design (all nine tests,
-// double-buffered):
+// Six measurements, the first five on the n = 65536 high-tier design (all
+// nine tests, double-buffered):
 //
-//   1. fused loop      -- the pre-pipeline shape: one thread alternating
-//      fill_words and the word-lane window test (the old fleet channel
-//      body), the baseline the pipeline must not regress;
-//   2. span kernels    -- the same fused loop on the bulk-span lane
+//   1. per-bit loop    -- one thread alternating fill_words and the
+//      per-bit oracle lane (one hardware clock per bit), the reference
+//      the fast lane is measured against;
+//   2. span kernels    -- the same loop on the bulk-span lane
 //      (testing_block::feed_span), swept over the base/bits.hpp kernel
-//      variants (reference / portable / simd); the acceptance bar is
-//      >= 2x the word lane for the dispatched (simd-or-portable) variant
-//      on full runs;
+//      variants (reference / portable / simd).  The dispatched
+//      (simd-or-portable) variant is the fused loop -- the fleet channel
+//      body -- and its acceptance bar is >= 13x the per-bit loop on full
+//      runs;
 //   3. streamed channel -- core::word_producer on its own thread, a
 //      two-window base::ring_buffer, core::window_pump on the caller;
 //      the acceptance bar is >= 0.9x the fused loop (full runs exit
 //      nonzero below it; generation overlaps analysis, so at one channel
 //      the pipeline should roughly break even and win as generation
 //      cost grows);
-//   4. streamed fleet  -- core::fleet_monitor (now pipeline-backed) over
-//      1..C channels, reporting aggregate Mbit/s plus the per-channel
-//      ring backpressure stats that tell which stage bounds throughput;
+//   4. fleet scaling   -- core::fleet_monitor over 1..C channels on the
+//      span lane, reporting aggregate Mbit/s;
 //   5. batch sweep     -- the streamed channel at generation batches from
 //      a quarter window to two windows (a four-window ring), showing
 //      where batching stops paying;
@@ -37,7 +37,7 @@
 // Equivalence is proven separately (tests/test_stream.cpp,
 // tests/test_kernel_oracle.cpp and tests/test_generation_oracle.cpp);
 // this is timing only.  Results go to BENCH_stream.json (schema
-// "otf-stream-bench/3", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
+// "otf-stream-bench/4", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
 // output directory).
 #include "base/bits.hpp"
 #include "base/env.hpp"
@@ -102,33 +102,39 @@ int main(int argc, char** argv)
     std::printf("hardware_concurrency: %u\n\n",
                 std::thread::hardware_concurrency());
 
-    // Best-of-N timing: both single-channel measurements repeat and keep
+    // Best-of-N timing: the single-channel measurements repeat and keep
     // the fastest pass, so scheduler noise on a loaded machine cannot
-    // flip the acceptance ratio (full runs only; smoke proves the
+    // flip the acceptance ratios (full runs only; smoke proves the
     // plumbing).
     const unsigned reps = smoke_scaled(3u, 1u);
 
-    // 1. Fused loop: the pre-pipeline fleet channel body -- generate a
-    // window, test it, repeat, all on one thread.
-    double fused_mwps = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        core::monitor mon(design, 0.01);
-        trng::ideal_source src(2025);
-        std::vector<std::uint64_t> buffer(nwords);
-        const auto t0 = clock_type::now();
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            src.fill_words(buffer.data(), nwords);
-            mon.test_packed(buffer.data(), nwords);
+    // One thread generating a window and testing it on `lane`, repeated:
+    // the fleet channel body.
+    const auto time_loop = [&](core::ingest_lane lane) {
+        double best = 0.0;
+        for (unsigned r = 0; r < reps; ++r) {
+            core::monitor mon(design, 0.01);
+            trng::ideal_source src(2025);
+            std::vector<std::uint64_t> buffer(nwords);
+            const auto t0 = clock_type::now();
+            for (std::uint64_t w = 0; w < windows; ++w) {
+                src.fill_words(buffer.data(), nwords);
+                mon.test_packed(buffer.data(), nwords, lane);
+            }
+            best = std::max(best,
+                            mwords_per_s(total_words, seconds_since(t0)));
         }
-        const double s = seconds_since(t0);
-        fused_mwps = std::max(fused_mwps, mwords_per_s(total_words, s));
-    }
-    std::printf("fused loop      : %8.2f Mwords/s\n", fused_mwps);
+        return best;
+    };
 
-    // 2. Span kernels: the same fused loop on the bulk-span lane, once
-    // per kernel variant.  The variant the runtime dispatch would pick on
-    // its own (simd when compiled in, portable otherwise) carries the
-    // acceptance bar.
+    // 1. Per-bit loop: the oracle lane.
+    const double per_bit_mwps = time_loop(core::ingest_lane::per_bit);
+    std::printf("per-bit loop    : %8.2f Mwords/s\n", per_bit_mwps);
+
+    // 2. Span kernels: the same loop on the bulk-span lane, once per
+    // kernel variant.  The variant the runtime dispatch would pick on its
+    // own (simd when compiled in, portable otherwise) is the fused loop
+    // and carries the acceptance bar.
     struct kernel_point {
         const char* variant;
         bool dispatched; // the variant runtime dispatch picks by default
@@ -143,35 +149,22 @@ int main(int argc, char** argv)
         {"simd", bits::kernel_variant::simd},
     };
     std::vector<kernel_point> kernels;
-    double span_mwps = 0.0;
+    double fused_mwps = 0.0;
     for (const auto& [vname, variant] : variants) {
         bits::set_kernel_variant(variant);
-        double mwps = 0.0;
-        for (unsigned r = 0; r < reps; ++r) {
-            core::monitor mon(design, 0.01);
-            trng::ideal_source src(2025);
-            std::vector<std::uint64_t> buffer(nwords);
-            const auto t0 = clock_type::now();
-            for (std::uint64_t w = 0; w < windows; ++w) {
-                src.fill_words(buffer.data(), nwords);
-                mon.test_packed(buffer.data(), nwords,
-                                core::ingest_lane::span);
-            }
-            const double s = seconds_since(t0);
-            mwps = std::max(mwps, mwords_per_s(total_words, s));
-        }
+        const double mwps = time_loop(core::ingest_lane::span);
         const bool dispatched = variant == best;
         if (dispatched) {
-            span_mwps = mwps;
+            fused_mwps = mwps;
         }
         kernels.push_back({vname, dispatched, mwps});
-        std::printf("span lane (%-9s): %8.2f Mwords/s   (%.2fx word "
-                    "lane%s)\n",
-                    vname, mwps, mwps / fused_mwps,
+        std::printf("span lane (%-9s): %8.2f Mwords/s   (%.2fx per-bit "
+                    "loop%s)\n",
+                    vname, mwps, mwps / per_bit_mwps,
                     dispatched ? ", dispatched" : "");
     }
     bits::set_kernel_variant(bits::kernel_variant::simd);
-    const double span_over_word = span_mwps / fused_mwps;
+    const double span_over_per_bit = fused_mwps / per_bit_mwps;
 
     // 3. Streamed channel: producer thread -> ring -> pump, both hops
     // zero-copy (generation writes ring storage, the pump feeds ring
@@ -209,16 +202,13 @@ int main(int argc, char** argv)
                     channel_stats.consumer_stalls));
     const double ratio = streamed_mwps / fused_mwps;
 
-    // 4. Streamed fleet scaling.
+    // 4. Fleet scaling.
     const unsigned max_channels = smoke_scaled(8u, 2u);
-    std::printf("\n%-10s %12s %12s %16s\n", "channels", "Mbit/s",
-                "scaling", "max stalls p/c");
+    std::printf("\n%-10s %12s %12s\n", "channels", "Mbit/s", "scaling");
     struct scaling_point {
         unsigned channels;
         double mbps;
         double scaling;
-        std::uint64_t worst_producer_stalls;
-        std::uint64_t worst_consumer_stalls;
     };
     std::vector<scaling_point> scaling;
     double one_channel_mbps = 0.0;
@@ -238,21 +228,8 @@ int main(int argc, char** argv)
         if (channels == 1) {
             one_channel_mbps = mbps;
         }
-        scaling_point p{channels, mbps, mbps / one_channel_mbps, 0, 0};
-        for (const core::channel_report& ch : report.channels) {
-            if (ch.stream.producer_stalls > p.worst_producer_stalls) {
-                p.worst_producer_stalls = ch.stream.producer_stalls;
-            }
-            if (ch.stream.consumer_stalls > p.worst_consumer_stalls) {
-                p.worst_consumer_stalls = ch.stream.consumer_stalls;
-            }
-        }
-        std::printf("%-10u %12.1f %11.2fx %8llu/%llu\n", channels, mbps,
-                    p.scaling,
-                    static_cast<unsigned long long>(
-                        p.worst_producer_stalls),
-                    static_cast<unsigned long long>(
-                        p.worst_consumer_stalls));
+        const scaling_point p{channels, mbps, mbps / one_channel_mbps};
+        std::printf("%-10u %12.1f %11.2fx\n", channels, mbps, p.scaling);
         scaling.push_back(p);
     }
 
@@ -397,7 +374,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-stream-bench/3");
+    json.value("schema", "otf-stream-bench/4");
     json.value("smoke", smoke_mode());
     json.value("design", design.name);
     json.value("window_bits", design.n());
@@ -406,6 +383,7 @@ int main(int argc, char** argv)
     json.value("hardware_concurrency",
                std::thread::hardware_concurrency());
     json.value("simd_compiled", bits::simd_compiled());
+    json.value("per_bit_mwords_per_s", per_bit_mwps);
     json.value("fused_mwords_per_s", fused_mwps);
     json.begin_array("span_kernels");
     for (const kernel_point& k : kernels) {
@@ -413,11 +391,11 @@ int main(int argc, char** argv)
         json.value("variant", k.variant);
         json.value("dispatched", k.dispatched);
         json.value("mwords_per_s", k.mwps);
-        json.value("over_word_lane", k.mwps / fused_mwps);
+        json.value("over_per_bit", k.mwps / per_bit_mwps);
         json.end_object();
     }
     json.end_array();
-    json.value("span_over_word", span_over_word);
+    json.value("span_over_per_bit", span_over_per_bit);
     json.value("streamed_mwords_per_s", streamed_mwps);
     json.value("streamed_over_fused", ratio);
     json.value("zero_copy_windows", zero_copy_windows);
@@ -435,8 +413,6 @@ int main(int argc, char** argv)
         json.value("channels", p.channels);
         json.value("mbps", p.mbps);
         json.value("scaling", p.scaling);
-        json.value("worst_producer_stalls", p.worst_producer_stalls);
-        json.value("worst_consumer_stalls", p.worst_consumer_stalls);
         json.end_object();
     }
     json.end_array();
@@ -476,7 +452,7 @@ int main(int argc, char** argv)
     // Acceptance bars.  The timing bars run on full runs only (smoke
     // runs are too short to time reliably): the decoupled pipeline must
     // stay within 10% of the fused loop, the dispatched span kernels
-    // must at least double the word lane, and the batched generation
+    // must beat the per-bit lane at least 13x, and the batched generation
     // lane must at least triple the per-word lane for every model.  The
     // zero-copy check is deterministic (an untapped pump takes the
     // zero-copy path for every window), so it holds in smoke mode too.
@@ -493,9 +469,9 @@ int main(int argc, char** argv)
         std::printf("BAR FAILED: streamed/fused = %.3f < 0.9\n", ratio);
         failed = true;
     }
-    if (!smoke_mode() && span_over_word < 2.0) {
-        std::printf("BAR FAILED: span/word = %.3f < 2.0\n",
-                    span_over_word);
+    if (!smoke_mode() && span_over_per_bit < 13.0) {
+        std::printf("BAR FAILED: span/per-bit = %.3f < 13.0\n",
+                    span_over_per_bit);
         failed = true;
     }
     if (!smoke_mode() && generation_min_speedup < 3.0) {
@@ -509,7 +485,8 @@ int main(int argc, char** argv)
     }
     std::printf("streamed/fused = %.3f (bar: >= 0.9%s)\n", ratio,
                 smoke_mode() ? ", not enforced in smoke mode" : "");
-    std::printf("span/word      = %.3f (bar: >= 2.0%s)\n", span_over_word,
+    std::printf("span/per-bit   = %.3f (bar: >= 13.0%s)\n",
+                span_over_per_bit,
                 smoke_mode() ? ", not enforced in smoke mode" : "");
     std::printf("generation     = %.3fx batched/scalar, worst model "
                 "(bar: >= 3.0%s)\n",

@@ -7,7 +7,7 @@
 // on-the-fly testing pipeline, supervised together.  Six channels are
 // healthy; channel 6 is under a supply-voltage attack that biases it to
 // p(1) = 0.53, and channel 7 has a correlated (sticky) output.  The fleet
-// runs every channel's window through the word-at-a-time fast lane on a
+// runs every channel's window through the span fast lane on a
 // worker pool and aggregates the verdicts; the per-channel AIS-31-style
 // alarm (3 failures in the last 8 windows) singles out exactly the two
 // attacked channels.
@@ -59,12 +59,10 @@ int main()
                 cfg.channels, static_cast<unsigned long long>(windows),
                 cfg.block.name.c_str(), cfg.alpha, cfg.fail_threshold,
                 cfg.policy_window);
-    // The shared plain-text formatter (core/report.hpp) includes the
-    // per-channel stream telemetry -- occupancy high-water and stall
-    // counters -- that this table used to drop.
+    // The shared plain-text formatter (core/report.hpp).
     std::printf("%s", core::format_fleet(report).c_str());
     std::printf("aggregate simulation throughput: %.1f Mbit/s "
-                "(word lane, %.2f s wall clock)\n",
+                "(span lane, %.2f s wall clock)\n",
                 report.bits_per_second() / 1e6, report.seconds);
 
     // The scenario succeeds when exactly the attacked channels alarmed.

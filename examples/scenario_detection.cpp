@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 int main()
 {
@@ -55,9 +56,12 @@ int main()
     std::printf("%-8s %-9s %-7s %-7s %s\n", "window", "severity",
                 "verdict", "alarm", "failing tests");
     std::uint64_t caught_at = cfg.windows;
+    std::vector<std::uint64_t> window(design.n() / 64);
     for (std::uint64_t w = 0; w < cfg.windows; ++w) {
         model->set_severity(ramp.severity_at(w));
-        const core::window_report wr = mon.test_window_words(*model);
+        model->fill_words(window.data(), window.size());
+        const core::window_report wr =
+            mon.test_packed(window.data(), window.size());
         const bool failed = !wr.software.all_pass;
         const bool raised = alarm.record(failed);
         if (raised && caught_at == cfg.windows) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, and run the full ctest suite, then the
 # fleet-throughput, scenario-matrix and stream-throughput smoke runs (the
-# word-lane/fleet, scenario and streaming-pipeline subsystems must never
+# span-lane/fleet, scenario and streaming-pipeline subsystems must never
 # bit-rot silently, so they run explicitly even outside ctest).  The
 # benches drop their BENCH_*.json telemetry into the build directory
 # (docs/BENCHMARKS.md); the files are validated as JSON when python3 is
@@ -57,53 +57,61 @@ if command -v python3 >/dev/null 2>&1; then
         echo "ok: $f"
     done
 
-    echo "== validating otf-fleet-bench/3 schema =="
-    # The fleet bench must report the /3 schema: the execution axis
-    # (threaded vs fused span vs fused 64x64 tile, single worker) next
-    # to the lane and scaling axes (docs/BENCHMARKS.md).
+    echo "== validating otf-fleet-bench/4 schema =="
+    # The fleet bench must report the /4 schema: the one-worker block
+    # (fused span vs fused 64x64 tile) next to the lane and scaling axes
+    # (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_fleet.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-fleet-bench/3", doc["schema"]
-exe = doc["execution"]
-assert exe["threads"] == 1, exe
-assert exe["tile_words"] == 64, exe
-for key in ("threaded_mbps", "fused_span_mbps", "fused_tile_mbps",
-            "fused_tile_over_threaded"):
-    assert exe[key] > 0, (key, exe)
-print("ok: otf-fleet-bench/3 (fused tile %.2fx threaded)"
-      % exe["fused_tile_over_threaded"])
+assert doc["schema"] == "otf-fleet-bench/4", doc["schema"]
+assert "execution" not in doc and "word_mbps" not in doc, sorted(doc)
+one = doc["one_worker"]
+assert one["threads"] == 1, one
+assert one["tile_words"] == 64, one
+for key in ("fused_span_mbps", "fused_tile_mbps", "fused_tile_over_span"):
+    assert one[key] > 0, (key, one)
+print("ok: otf-fleet-bench/4 (fused tile %.2fx fused span)"
+      % one["fused_tile_over_span"])
 EOF
 
-    echo "== validating otf-population/2 schema =="
-    # The population bench must report the /2 schema: the execution
-    # block with the work-stealing scheduler's telemetry, and the
-    # layout sweep (now including the threaded execution) deterministic.
+    echo "== validating otf-population/3 schema =="
+    # The population bench must report the /3 schema: the execution
+    # block with the work-stealing scheduler's telemetry, per-shard rows
+    # without the retired stall and wall-clock fields, and the layout
+    # sweep (including the per-bit lane run) deterministic.
     python3 - "$BUILD_DIR"/BENCH_population.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-population/2", doc["schema"]
+assert doc["schema"] == "otf-population/3", doc["schema"]
 assert doc["deterministic_across_layouts"] is True
 exe = doc["execution"]
 assert exe["model"] == "fused", exe
+assert exe["lane"] == "span", exe
 assert exe["worker_threads"] > 0, exe
 assert exe["steal_batch_devices"] > 0, exe
 assert exe["telemetry_flushes"] > 0, exe
-print("ok: otf-population/2 (%d workers, %d steals, %d flushes)"
+for shard in doc["shards"]:
+    for key in ("producer_stalls", "consumer_stalls", "seconds"):
+        assert key not in shard, (key, shard)
+print("ok: otf-population/3 (%d workers, %d steals, %d flushes)"
       % (exe["worker_threads"], exe["steals"], exe["telemetry_flushes"]))
 EOF
 
-    echo "== validating otf-stream-bench/3 schema =="
-    # The stream bench must report the /3 schema: the generation axis
-    # with all six adversarial models, and a streamed channel that took
-    # the zero-copy window path (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/4 schema =="
+    # The stream bench must report the /4 schema: the span lane against
+    # the per-bit loop, the generation axis with all six adversarial
+    # models, and a streamed channel that took the zero-copy window path
+    # (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/3", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/4", doc["schema"]
+assert doc["per_bit_mwords_per_s"] > 0, doc["per_bit_mwords_per_s"]
+assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 models = [g["model"] for g in doc["generation"]]
 expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
             "substitution"}
@@ -111,17 +119,16 @@ assert set(models) == expected and len(models) == 6, models
 assert doc["zero_copy_windows"] == doc["windows"], (
     doc["zero_copy_windows"], doc["windows"])
 assert doc["batch_sweep"], "batch_sweep must not be empty"
-print("ok: otf-stream-bench/3 (%d generation models, %d zero-copy windows)"
+print("ok: otf-stream-bench/4 (%d generation models, %d zero-copy windows)"
       % (len(models), doc["zero_copy_windows"]))
 EOF
 fi
 
-echo "== Release perf guard: fused vs threaded fleet execution =="
+echo "== Release perf guard: fused tile vs fused span fleet lane =="
 # A separate Release build runs the fleet bench with the enforcement
-# flag: the fused 64x64 tile lane must not fall behind the threaded
-# ring pipeline on a single worker (coarse >= 1.0x bar; full runs track
-# the >= 1.3x tile acceptance in BENCH_fleet.json), and the fused span
-# lane must stay within scheduling noise of it (>= 0.7x).
+# flag: on a single worker the fused 64x64 tile lane must not fall
+# behind the fused span lane (coarse >= 1.0x bar on this smoke run; full
+# runs with the flag enforce >= 3x).
 PERF_DIR="$BUILD_DIR-perfguard"
 cmake -B "$PERF_DIR" -S "$(dirname "$0")/.." -DCMAKE_BUILD_TYPE=Release \
     -DOTF_BUILD_EXAMPLES=OFF

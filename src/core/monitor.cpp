@@ -45,15 +45,6 @@ window_report monitor::test_window(trng::entropy_source& source)
     return finish_window();
 }
 
-window_report monitor::test_window_words(trng::entropy_source& source,
-                                         ingest_lane lane)
-{
-    const std::uint64_t n = block_.config().n();
-    word_buffer_.resize(n / 64);
-    source.fill_words(word_buffer_.data(), word_buffer_.size());
-    return test_packed(word_buffer_.data(), word_buffer_.size(), lane);
-}
-
 window_report monitor::test_sequence(const bit_sequence& seq)
 {
     if (seq.size() != block_.config().n()) {
@@ -67,12 +58,6 @@ window_report monitor::test_sequence(const bit_sequence& seq)
         block_.feed(seq[i]);
     }
     return finish_window();
-}
-
-window_report monitor::test_sequence_words(
-    const std::vector<std::uint64_t>& words)
-{
-    return test_packed(words.data(), words.size());
 }
 
 window_report monitor::test_packed(const std::uint64_t* words,
@@ -93,9 +78,6 @@ void monitor::feed_packed(const std::uint64_t* words, std::size_t nwords,
                           ingest_lane lane)
 {
     switch (lane) {
-    case ingest_lane::word:
-        block_.feed_words(words, nwords);
-        break;
     case ingest_lane::span:
     case ingest_lane::sliced: // a lone monitor has no 64-channel group
         block_.feed_span(words, nwords * 64);
@@ -120,7 +102,6 @@ void monitor::reconfigure(const hw::block_config& target,
 {
     block_.reprogram(target);
     runner_ = software_runner(block_.config(), std::move(cv));
-    word_buffer_.clear();
 }
 
 void monitor::reconfigure(const hw::block_config& target, double alpha)

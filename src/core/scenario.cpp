@@ -168,14 +168,16 @@ scenario_report scenario_runner::run(const scenario& sc) const
             static_cast<std::size_t>(block_.n() / 64);
         if (nwords == 0) {
             // Sub-word designs (n < 64) cannot ride the word-granular
-            // ring; keep the direct batch loop for them.
+            // ring; the per-bit lane runs them through the direct batch
+            // loop, and test_packed rejects them on the packed lanes
+            // with its length error.
             for (std::uint64_t w = 0; w < cfg_.windows; ++w) {
                 if (model) {
                     model->set_severity(sc.schedule.severity_at(w));
                 }
                 account(cfg_.lane == ingest_lane::per_bit
                             ? mon.test_window(*source)
-                            : mon.test_window_words(*source, cfg_.lane));
+                            : mon.test_packed(nullptr, 0, cfg_.lane));
             }
         } else {
             const std::size_t ring_words = default_ring_words(nwords);

@@ -18,14 +18,15 @@
 // never copied again.  Only a pump with an evidence tap installed
 // assembles windows (the tap's contract is one contiguous window).
 //
-// Everything that used to be a bespoke pull loop -- `monitor` batch runs,
-// the fleet's per-channel double-buffer hand-off, the scenario runner's
-// trial loop -- is now one producer, one ring and one pump, with the
-// loop-specific behaviour (AIS-31 alarms, severity schedules, fleet
-// aggregation) expressed as `window_sink` callbacks.  Both ingestion
-// lanes stay register-exact with the pre-pipeline loops: the stream
-// carries the same words in the same order, and `monitor::test_packed`
-// feeds them through the same hardware model.
+// The single-channel streaming loops -- `monitor::run_stream`, the
+// supervisor's run, the scenario runner's trial loop -- are one producer,
+// one ring and one pump, with the loop-specific behaviour (AIS-31 alarms,
+// severity schedules, escalation) expressed as `window_sink` callbacks.
+// Every ingestion lane stays register-exact with a direct window loop:
+// the stream carries the same words in the same order, and
+// `monitor::test_packed` feeds them through the same hardware model.
+// (Fleets and populations do not stream: their workers generate and test
+// in one fused pass, core/fleet_monitor.hpp.)
 //
 // Determinism: the *data* through the ring is a pure function of the
 // source, so every verdict and counter is scheduling-independent; only
@@ -83,9 +84,9 @@ struct stream_stats {
 /// \brief Read a ring's lifetime telemetry into a stream_stats snapshot.
 stream_stats snapshot(const base::ring_buffer& ring);
 
-/// \brief Default channel-pipeline sizing, shared by the fleet channels
-/// and scenario trials so the two setups cannot drift: a ring two
-/// windows deep (the software double buffer) ...
+/// \brief Default channel-pipeline sizing, shared by the supervisor and
+/// scenario trials so the two setups cannot drift: a ring two windows
+/// deep (the software double buffer) ...
 std::size_t default_ring_words(std::size_t window_words);
 /// ... and generation batches of half the ring -- one whole window on
 /// the default two-window ring, growing past a window on deeper rings
@@ -184,7 +185,7 @@ public:
     /// than one 64-bit word (the stream is word-granular; sub-word
     /// designs keep the direct batch paths)
     window_pump(base::ring_buffer& ring, monitor& mon,
-                ingest_lane lane = ingest_lane::word);
+                ingest_lane lane = ingest_lane::span);
 
     /// \brief Pump until the ring drains, `max_windows` is reached, or
     /// the sink returns false.

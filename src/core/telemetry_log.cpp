@@ -101,7 +101,10 @@ supervisor_config parse_supervisor_config(base::byte_cursor& cursor)
             "parse_supervisor_config: unknown ingest_lane "
             + std::to_string(lane));
     }
-    cfg.lane = static_cast<ingest_lane>(lane);
+    // Byte 0 is the retired word lane, the old default.  Every lane is
+    // register-exact, so segments that recorded it replay on the span
+    // lane with identical verdicts.
+    cfg.lane = lane == 0 ? ingest_lane::span : static_cast<ingest_lane>(lane);
     return cfg;
 }
 

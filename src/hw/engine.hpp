@@ -32,21 +32,22 @@ public:
     ///        bits, not a private counter)
     virtual void consume(bool bit, std::uint64_t bit_index) = 0;
 
-    /// \brief Word-at-a-time fast lane: consume up to 64 stream bits at
-    /// once.  Must leave the engine in exactly the state that `nbits`
-    /// consume() calls would -- the per-bit path is the equivalence
-    /// oracle, enforced by tests/test_word_path.cpp.  The default simply
-    /// loops consume(); engines override it with popcount / table /
-    /// run-scan batching.
+    /// \brief Word-at-a-time step: consume up to 64 stream bits at once.
+    /// Must leave the engine in exactly the state that `nbits` consume()
+    /// calls would -- the per-bit path is the equivalence oracle,
+    /// enforced by tests/test_word_path.cpp.  The default simply loops
+    /// consume(); engines override it with popcount / table / run-scan
+    /// batching.  consume_span() falls back to it for sub-word blocks and
+    /// unaligned spans.
     ///
     /// Engines that watch the testing block's *shared* template window
     /// must return true from watches_shared_window() AND override this,
     /// reconstructing the sliding window locally from its pre-word state:
-    /// on the word lane the block advances the shared register once per
-    /// word, after dispatching to the engines, not once per bit -- so the
-    /// per-bit default below would read a stale window.  The default
-    /// enforces that contract by refusing to run for such engines
-    /// (loudly, instead of silently producing wrong counters).
+    /// the block advances the shared register after dispatching a span
+    /// to the engines, not once per bit -- so the per-bit default below
+    /// would read a stale window.  The default enforces that contract by
+    /// refusing to run for such engines (loudly, instead of silently
+    /// producing wrong counters).
     /// \param word      stream bits packed LSB-first (bit i of `word` is
     ///                  stream bit `bit_index + i`)
     /// \param nbits     number of valid bits in `word`, 1..64
@@ -59,7 +60,7 @@ public:
                 "engine '" + name()
                 + "' watches the shared template window and must override "
                   "consume_word() (the per-bit default would read a stale "
-                  "window on the word lane)");
+                  "window)");
         }
         for (unsigned i = 0; i < nbits; ++i) {
             consume(((word >> i) & 1u) != 0, bit_index + i);

@@ -35,7 +35,7 @@ hw::block_config small_design()
 
 core::fleet_config
 base_config(unsigned channels, unsigned threads,
-            core::ingest_lane lane = core::ingest_lane::word)
+            core::ingest_lane lane = core::ingest_lane::span)
 {
     core::fleet_config cfg;
     cfg.block = small_design();
@@ -76,20 +76,28 @@ TEST(fleet, report_is_independent_of_thread_count)
 
 TEST(fleet, every_ingest_lane_agrees_with_the_per_bit_oracle)
 {
+    // The fused span lane (generate + test inline on one core) must be
+    // indistinguishable from the per-bit oracle in every deterministic
+    // report field, at every thread count.  (Four channels are too few
+    // for a tile group, so the sliced request rides span here too.)
     const std::uint64_t windows = 4;
-    const auto bit =
-        core::fleet_monitor(base_config(4, 2, core::ingest_lane::per_bit))
+    const auto oracle =
+        core::fleet_monitor(base_config(4, 1, core::ingest_lane::per_bit))
             .run(ideal_factory(), windows);
     for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span,
-          core::ingest_lane::sliced}) {
-        const auto fast = core::fleet_monitor(base_config(4, 2, lane))
-                              .run(ideal_factory(), windows);
-        EXPECT_TRUE(fast.same_counters(bit));
-        ASSERT_EQ(fast.channels.size(), bit.channels.size());
-        for (std::size_t c = 0; c < fast.channels.size(); ++c) {
-            EXPECT_EQ(fast.channels[c], bit.channels[c])
-                << "channel " << c;
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            const auto cfg = base_config(4, threads, lane);
+            const auto report =
+                core::fleet_monitor(cfg).run(ideal_factory(), windows);
+            const std::string ctx = "lane " + cfg.lane_description()
+                + " threads " + std::to_string(threads);
+            EXPECT_TRUE(report.same_counters(oracle)) << ctx;
+            ASSERT_EQ(report.channels.size(), oracle.channels.size());
+            for (std::size_t c = 0; c < report.channels.size(); ++c) {
+                EXPECT_EQ(report.channels[c], oracle.channels[c])
+                    << ctx << " channel " << c;
+            }
         }
     }
 }
@@ -172,9 +180,8 @@ TEST(fleet, zero_windows_returns_an_empty_report)
 
 TEST(fleet, sub_word_designs_fall_back_to_the_batch_loop)
 {
-    // n < 64 cannot ride the word-granular ring; the per-bit lane must
-    // keep working through the direct loop (and both lanes must agree
-    // with a plain monitor run).
+    // n < 64 has no packed window; the per-bit lane must keep working
+    // through the direct loop (and agree with a plain monitor run).
     hw::block_config tiny;
     tiny.name = "tiny n=32";
     tiny.log2_n = 5;
@@ -202,13 +209,44 @@ TEST(fleet, sub_word_designs_fall_back_to_the_batch_loop)
     EXPECT_EQ(report.channels[0].failures, ref_failures);
 }
 
-TEST(fleet, first_alarm_window_is_stamped_alike_by_batch_and_stream)
+TEST(fleet, sub_word_designs_are_rejected_on_the_packed_lanes)
 {
-    // The sub-word batch loop bypasses the window_pump, but both lanes
+    // Only the per-bit lane runs n < 64; the span and sliced requests
+    // fail with monitor::test_packed's length error, named by channel.
+    hw::block_config tiny;
+    tiny.name = "tiny n=32";
+    tiny.log2_n = 5;
+    tiny.tests = hw::test_set{}.with(hw::test_id::frequency);
+    for (const core::ingest_lane lane :
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
+        core::fleet_config cfg;
+        cfg.block = tiny;
+        cfg.channels = 2;
+        cfg.threads = 1;
+        cfg.lane = lane;
+        core::fleet_monitor fleet(cfg);
+        try {
+            (void)fleet.run(ideal_factory(), 1);
+            FAIL() << "lane " << cfg.lane_description()
+                   << " must reject a sub-word design";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("channel 0"), std::string::npos) << what;
+            EXPECT_NE(what.find("word buffer must hold exactly the "
+                                "design's n (32 bits"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(fleet, first_alarm_window_is_stamped_alike_by_batch_and_packed)
+{
+    // The sub-word batch loop bypasses the packed window path, but both
     // take their window numbering from the monitor's own counter through
     // the shared observe() path -- so a channel failing from the first
     // window must stamp the same 0-based first_alarm_window whether it
-    // rode the n=32 batch loop or the n=4096 streamed pipeline.  Pin both
+    // rode the n=32 batch loop or the n=4096 span lane.  Pin both
     // against the policy replayed by hand.
     hw::block_config tiny;
     tiny.name = "tiny n=32";
@@ -254,14 +292,14 @@ TEST(fleet, first_alarm_window_is_stamped_alike_by_batch_and_stream)
     EXPECT_EQ(batch.channels[1].first_alarm_window, windows)
         << "never-alarmed sentinel on the batch lane";
 
-    auto streamed_cfg = base_config(2, 1);
-    streamed_cfg.fail_threshold = tiny_cfg.fail_threshold;
-    streamed_cfg.policy_window = tiny_cfg.policy_window;
-    const auto streamed =
-        core::fleet_monitor(streamed_cfg).run(factory, windows);
-    EXPECT_TRUE(streamed.channels[0].alarm);
-    EXPECT_EQ(streamed.channels[0].first_alarm_window, want)
-        << "the streamed lane numbers windows differently";
+    auto packed_cfg = base_config(2, 1);
+    packed_cfg.fail_threshold = tiny_cfg.fail_threshold;
+    packed_cfg.policy_window = tiny_cfg.policy_window;
+    const auto packed =
+        core::fleet_monitor(packed_cfg).run(factory, windows);
+    EXPECT_TRUE(packed.channels[0].alarm);
+    EXPECT_EQ(packed.channels[0].first_alarm_window, want)
+        << "the span lane numbers windows differently";
 }
 
 TEST(fleet, configuration_is_validated)
@@ -277,58 +315,11 @@ TEST(fleet, configuration_is_validated)
     EXPECT_THROW(core::fleet_monitor{bad_policy}, std::invalid_argument);
 }
 
-TEST(fleet, channel_stream_telemetry_is_populated)
-{
-    // Under threaded execution each channel is one producer → ring →
-    // pump pipeline; its report must carry the ring telemetry (words
-    // through the ring, capacity) even though those fields are excluded
-    // from the determinism comparison.  (The fused default never builds
-    // a ring, so this pins the threaded lane explicitly.)
-    const std::uint64_t windows = 4;
-    auto cfg = base_config(3, 2);
-    cfg.execution = core::fleet_execution::threaded;
-    const auto report =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
-    const std::uint64_t nwords = small_design().n() / 64;
-    for (const auto& ch : report.channels) {
-        EXPECT_EQ(ch.stream.words, windows * nwords)
-            << "channel " << ch.channel;
-        EXPECT_GE(ch.stream.ring_capacity, 2 * nwords)
-            << "channel " << ch.channel;
-        EXPECT_GE(ch.stream.max_occupancy, 1u) << "channel " << ch.channel;
-        EXPECT_LE(ch.stream.max_occupancy, ch.stream.ring_capacity)
-            << "channel " << ch.channel;
-    }
-}
-
-TEST(fleet, ring_depth_never_changes_the_report)
-{
-    const std::uint64_t windows = 5;
-    auto base_cfg = base_config(3, 2);
-    base_cfg.execution = core::fleet_execution::threaded;
-    const auto baseline =
-        core::fleet_monitor(base_cfg).run(ideal_factory(), windows);
-    for (const std::size_t ring_words : {64u, 1024u}) {
-        auto cfg = base_cfg;
-        cfg.ring_words = ring_words;
-        const auto report =
-            core::fleet_monitor(cfg).run(ideal_factory(), windows);
-        EXPECT_TRUE(baseline.same_counters(report))
-            << "ring_words " << ring_words;
-        ASSERT_EQ(baseline.channels.size(), report.channels.size());
-        for (std::size_t c = 0; c < baseline.channels.size(); ++c) {
-            EXPECT_EQ(baseline.channels[c], report.channels[c])
-                << "channel " << c << " at ring_words " << ring_words;
-        }
-    }
-}
-
 TEST(fleet, worker_exception_propagates_naming_the_channel)
 {
-    // A replay source that runs dry mid-run now starves the channel's
-    // word_producer thread; the failure must cross the producer join,
-    // the worker pool and the fleet barrier, still naming the offending
-    // channel and its source.
+    // A replay source that runs dry mid-run starves the channel's fused
+    // generation loop; the failure must cross the worker pool and the
+    // fleet barrier, still naming the offending channel and its source.
     const auto factory =
         [](unsigned c) -> std::unique_ptr<trng::entropy_source> {
         if (c == 1) {
@@ -377,42 +368,6 @@ TEST(fleet, mid_run_exception_from_a_late_channel_drains_the_fleet)
     }
 }
 
-TEST(fleet, failed_channel_error_carries_its_ring_telemetry)
-{
-    // Regression: run_windows used to snapshot the ring only on the
-    // success path, so the backpressure stats that explain a stalled or
-    // dried-up pipeline were lost exactly when they mattered.  The error
-    // must now carry the stream telemetry of the failed channel.
-    const std::uint64_t n = small_design().n();
-    const auto factory =
-        [&](unsigned c) -> std::unique_ptr<trng::entropy_source> {
-        if (c == 0) {
-            trng::ideal_source gen(fixture_seed(5));
-            // Two full windows, then mid-window starvation.
-            return std::make_unique<trng::replay_source>(
-                gen.generate(2 * n + 64));
-        }
-        return std::make_unique<trng::ideal_source>(fixture_seed(c));
-    };
-    auto cfg = base_config(2, 1);
-    cfg.execution = core::fleet_execution::threaded;
-    core::fleet_monitor fleet(cfg);
-    try {
-        (void)fleet.run(factory, 4);
-        FAIL() << "expected the starvation to propagate";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("ran dry"), std::string::npos) << what;
-        EXPECT_NE(what.find("[stream:"), std::string::npos)
-            << "ring telemetry missing from the failure: " << what;
-        // The replay carried two whole windows plus a partial one; all of
-        // it went through the ring before the pipeline died.
-        EXPECT_NE(what.find("words=" + std::to_string(2 * n / 64 + 1)),
-                  std::string::npos)
-            << what;
-    }
-}
-
 TEST(fleet, null_source_factory_result_names_the_channel)
 {
     const auto factory =
@@ -433,53 +388,15 @@ TEST(fleet, null_source_factory_result_names_the_channel)
     }
 }
 
-// --------------------------------------- fused vs threaded execution --
+// ------------------------------------------------- 64x64 tile lane --
 
-TEST(fleet, fused_and_threaded_executions_are_bit_identical)
-{
-    // The fused worker lanes (generate + test inline on one core, no
-    // ring, no producer thread) must be indistinguishable from the
-    // threaded producer/ring pipeline in every deterministic report
-    // field -- for every ingest lane, at every thread count, against
-    // the per-bit oracle.
-    const std::uint64_t windows = 4;
-    const auto oracle =
-        core::fleet_monitor(base_config(4, 1, core::ingest_lane::per_bit))
-            .run(ideal_factory(), windows);
-    for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span}) {
-        for (const unsigned threads : {1u, 2u, 4u}) {
-            for (const core::fleet_execution execution :
-                 {core::fleet_execution::fused,
-                  core::fleet_execution::threaded}) {
-                auto cfg = base_config(4, threads, lane);
-                cfg.execution = execution;
-                const auto report =
-                    core::fleet_monitor(cfg).run(ideal_factory(),
-                                                 windows);
-                const std::string ctx =
-                    std::string(core::to_string(execution)) + " lane "
-                    + cfg.lane_description() + " threads "
-                    + std::to_string(threads);
-                EXPECT_TRUE(report.same_counters(oracle)) << ctx;
-                ASSERT_EQ(report.channels.size(), oracle.channels.size());
-                for (std::size_t c = 0; c < report.channels.size(); ++c) {
-                    EXPECT_EQ(report.channels[c], oracle.channels[c])
-                        << ctx << " channel " << c;
-                }
-            }
-        }
-    }
-}
-
-TEST(fleet, fused_tile_lane_matches_threaded_and_the_per_bit_oracle)
+TEST(fleet, fused_tile_lane_matches_the_per_bit_oracle)
 {
     // 66 channels: one full 64-wide group riding the 64x64 tile
     // pipeline (fill_tile -> one transpose per tile -> feed_tile) plus
-    // two span leftovers.  The same config under threaded execution
-    // degrades to span-over-rings; the per-bit lane is the oracle.  All
-    // three must produce byte-identical channel reports at every thread
-    // count.
+    // two span leftovers, against the per-bit oracle and the all-span
+    // lane.  All must produce byte-identical channel reports at every
+    // thread count.
     const unsigned channels = 66;
     const std::uint64_t windows = 4;
     const auto design = core::custom_design(
@@ -507,14 +424,11 @@ TEST(fleet, fused_tile_lane_matches_threaded_and_the_per_bit_oracle)
         return ch;
     };
     for (const unsigned threads : {1u, 2u, 4u}) {
-        auto fused = make_cfg(core::ingest_lane::sliced, threads);
-        ASSERT_TRUE(fused.uses_sliced_lane());
-        EXPECT_EQ(fused.lane_description(), "sliced+span");
-        auto threaded = fused;
-        threaded.execution = core::fleet_execution::threaded;
-        EXPECT_FALSE(threaded.uses_sliced_lane())
-            << "the tile lane is part of the fused execution model";
-        for (const core::fleet_config& cfg : {fused, threaded}) {
+        const auto tile = make_cfg(core::ingest_lane::sliced, threads);
+        ASSERT_TRUE(tile.uses_sliced_lane());
+        EXPECT_EQ(tile.lane_description(), "sliced+span");
+        const auto span = make_cfg(core::ingest_lane::span, threads);
+        for (const core::fleet_config& cfg : {tile, span}) {
             const auto report =
                 core::fleet_monitor(cfg).run(ideal_factory(), windows);
             const std::string ctx = report.execution + "/" + report.lane
@@ -539,24 +453,17 @@ TEST(fleet, fused_tile_lane_matches_threaded_and_the_per_bit_oracle)
 TEST(fleet, execution_and_lane_metadata_are_reported)
 {
     // The report must say which execution model and ingest lane
-    // actually ran, and how many threads of each kind were spawned --
-    // in particular the sliced->span fallback that used to be silent.
+    // actually ran, and how many workers it used -- in particular the
+    // sliced->span fallback that used to be silent.
     const std::uint64_t windows = 2;
-    auto cfg = base_config(3, 2);
+    const core::fleet_config defaults;
+    EXPECT_EQ(defaults.lane, core::ingest_lane::span)
+        << "span is the default lane";
     const auto fused =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
+        core::fleet_monitor(base_config(3, 2)).run(ideal_factory(), windows);
     EXPECT_EQ(fused.execution, "fused");
-    EXPECT_EQ(fused.lane, "word");
+    EXPECT_EQ(fused.lane, "span");
     EXPECT_EQ(fused.worker_threads, 2u);
-    EXPECT_EQ(fused.producer_threads, 0u)
-        << "the fused execution must not spawn producer threads";
-
-    cfg.execution = core::fleet_execution::threaded;
-    const auto threaded =
-        core::fleet_monitor(cfg).run(ideal_factory(), windows);
-    EXPECT_EQ(threaded.execution, "threaded");
-    EXPECT_EQ(threaded.producer_threads, 3u)
-        << "one producer per streamed channel";
 
     const auto fallback = base_config(3, 1, core::ingest_lane::sliced);
     const auto degraded =
@@ -706,26 +613,35 @@ TEST(fleet_supervision, mixed_outcomes_aggregate_channel_by_channel)
         << "the offline bar must not change the online trigger";
 }
 
-TEST(fleet_supervision, fused_and_threaded_executions_agree)
+TEST(fleet_supervision, fast_lanes_match_the_per_bit_oracle)
 {
     // Supervision re-programs a channel mid-run (baseline -> escalated
-    // design); the fused path emulates the window_pump's barrier/tap
-    // contract, so the reframe must land on exactly the same window in
-    // both execution models.
-    auto cfg = supervised_config(3, 2);
-    const auto fused =
-        core::fleet_monitor(cfg).run(one_bad_channel(2), 24);
-    cfg.execution = core::fleet_execution::threaded;
-    const auto threaded =
-        core::fleet_monitor(cfg).run(one_bad_channel(2), 24);
-    EXPECT_TRUE(fused.same_counters(threaded));
-    ASSERT_EQ(fused.channels.size(), threaded.channels.size());
-    for (std::size_t c = 0; c < fused.channels.size(); ++c) {
-        EXPECT_EQ(fused.channels[c], threaded.channels[c])
-            << "channel " << c;
-    }
-    EXPECT_GT(fused.escalations, 0u)
+    // design); the reframe must land on exactly the same window on the
+    // span lane (and the sliced request, which supervision degrades to
+    // span) as on the per-bit oracle, at every thread count.
+    auto oracle_cfg = supervised_config(3, 1);
+    oracle_cfg.lane = core::ingest_lane::per_bit;
+    const auto oracle =
+        core::fleet_monitor(oracle_cfg).run(one_bad_channel(2), 24);
+    EXPECT_GT(oracle.escalations, 0u)
         << "the differential run must actually cross an escalation";
+    for (const core::ingest_lane lane :
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            auto cfg = supervised_config(3, threads);
+            cfg.lane = lane;
+            const auto report =
+                core::fleet_monitor(cfg).run(one_bad_channel(2), 24);
+            const std::string ctx = "lane " + cfg.lane_description()
+                + " threads " + std::to_string(threads);
+            EXPECT_TRUE(report.same_counters(oracle)) << ctx;
+            ASSERT_EQ(report.channels.size(), oracle.channels.size());
+            for (std::size_t c = 0; c < report.channels.size(); ++c) {
+                EXPECT_EQ(report.channels[c], oracle.channels[c])
+                    << ctx << " channel " << c;
+            }
+        }
+    }
 }
 
 TEST(fleet, bits_per_second_handles_a_zero_duration_run)

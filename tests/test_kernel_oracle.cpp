@@ -268,7 +268,7 @@ TEST(kernel_oracle, ragged_span_chunks_match_per_bit_for_every_variant)
 }
 
 // ---------------------------------------------------------------------------
-// Monitor end to end: all four selectable lanes produce the same window
+// Monitor end to end: all three selectable lanes produce the same window
 // report for the same packed window (a lone monitor maps sliced to span).
 // ---------------------------------------------------------------------------
 
@@ -283,8 +283,7 @@ TEST(kernel_oracle, monitor_lanes_agree_end_to_end)
         oracle.test_packed(words.data(), words.size(),
                            core::ingest_lane::per_bit);
     for (const core::ingest_lane lane :
-         {core::ingest_lane::word, core::ingest_lane::span,
-          core::ingest_lane::sliced}) {
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
         core::monitor fast(cfg, 0.01);
         const auto b = fast.test_packed(words.data(), words.size(), lane);
         EXPECT_EQ(a.software.all_pass, b.software.all_pass);
@@ -821,9 +820,9 @@ TEST(kernel_oracle, sliced_lane_eligibility_rules)
     supervised.escalated_block = paper_design(16, tier::light);
     EXPECT_FALSE(supervised.uses_sliced_lane());
 
-    core::fleet_config word = cfg;
-    word.lane = core::ingest_lane::word;
-    EXPECT_FALSE(word.uses_sliced_lane());
+    core::fleet_config span = cfg;
+    span.lane = core::ingest_lane::span;
+    EXPECT_FALSE(span.uses_sliced_lane());
 }
 
 } // namespace

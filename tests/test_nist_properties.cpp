@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <numeric>
+#include <vector>
 
 namespace {
 
@@ -56,6 +57,42 @@ TEST_P(seeded, serial_psi_statistics_nonnegative)
     EXPECT_LE(r.p_value1, 1.0);
     EXPECT_GE(r.p_value2, 0.0);
     EXPECT_LE(r.p_value2, 1.0);
+}
+
+TEST_P(seeded, serial_statistics_equal_the_psi_squared_differences)
+{
+    // The sum-of-squares forms of nabla psi^2 and nabla^2 psi^2 are the
+    // SP 800-22 differences, rearranged: they must agree at power-of-two
+    // lengths and at the others alike.
+    for (const std::size_t n : {std::size_t{384}, std::size_t{640},
+                                std::size_t{1000}, std::size_t{4096}}) {
+        const bit_sequence seq = ideal(n);
+        for (const unsigned m : {2u, 3u, 4u}) {
+            const auto r = serial_test(seq, m);
+            const double del1 = r.psi2_m - r.psi2_m1;
+            const double del2 = r.psi2_m - 2.0 * r.psi2_m1 + r.psi2_m2;
+            EXPECT_NEAR(r.del1, del1, 1e-9) << "n=" << n << " m=" << m;
+            EXPECT_NEAR(r.del2, del2, 1e-9) << "n=" << n << " m=" << m;
+        }
+    }
+}
+
+TEST(serial_regression, exact_zero_second_difference_stays_in_domain)
+{
+    // A 640-bit sequence whose nabla^2 psi^2_3 is exactly 0.  As a
+    // difference of psi^2 values (2^m / n inexact at n = 640) it came out
+    // as -1.1e-13, and igamc's domain check aborted the whole battery.
+    const std::vector<std::uint64_t> words = {
+        0x81cd111293b8fa01, 0x99a2114a67904290, 0x479ead5b0b0db216,
+        0x4c8ec9fc9614cb14, 0x56a4dda3bb468968, 0xdcd04c0c615a887c,
+        0xe1ebb5dc9c75ff32, 0x2eba17c1493061a8, 0x6fbcf583083c1fc1,
+        0x12b8e8375cdabe2b};
+    const bit_sequence seq = bit_sequence::from_words(words, 640);
+    const auto r = serial_test(seq, 3);
+    EXPECT_EQ(r.del2, 0.0);
+    EXPECT_EQ(r.p_value2, 1.0);
+    EXPECT_GT(r.del1, 0.0);
+    EXPECT_NEAR(r.del1, r.psi2_m - r.psi2_m1, 1e-9);
 }
 
 TEST_P(seeded, cusum_consistency_with_frequency)

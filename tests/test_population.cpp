@@ -87,20 +87,21 @@ TEST(population, report_is_independent_of_shard_and_thread_layout)
     }
 }
 
-TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
+TEST(population, lane_batch_and_flush_epoch_never_change_the_report)
 {
-    // The work-stealing scheduler's knobs -- execution model, steal
-    // batch granularity, telemetry flush epoch -- move work between
-    // threads and batch queue traffic; none of them may reach the
-    // report, down to the per-device records.
+    // The per-bit oracle lane and the work-stealing scheduler's knobs --
+    // steal batch granularity, telemetry flush epoch -- change how the
+    // bits are fed, move work between threads and batch queue traffic;
+    // none of them may reach the report, down to the per-device records.
     const core::population_report baseline =
         core::population_monitor(small_config()).run();
     EXPECT_EQ(baseline.execution, "fused");
+    EXPECT_EQ(baseline.lane, "span") << "span is the default lane";
 
     std::vector<core::population_config> variants;
     {
         core::population_config cfg = small_config();
-        cfg.execution = core::fleet_execution::threaded;
+        cfg.lane = core::ingest_lane::per_bit;
         variants.push_back(cfg);
     }
     for (const std::uint32_t batch : {1u, 7u, 64u}) {
@@ -116,7 +117,7 @@ TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
     for (const core::population_config& cfg : variants) {
         const core::population_report report =
             core::population_monitor(cfg).run();
-        const std::string ctx = report.execution + " batch "
+        const std::string ctx = report.lane + " batch "
             + std::to_string(report.steal_batch_devices) + " epoch "
             + std::to_string(cfg.telemetry_flush_records);
         EXPECT_TRUE(baseline.same_counters(report)) << ctx;
@@ -128,13 +129,13 @@ TEST(population, execution_batch_and_flush_epoch_never_change_the_report)
     }
 }
 
-TEST(population, sliced_lane_agrees_across_executions_and_layouts)
+TEST(population, sliced_lane_agrees_with_the_per_bit_oracle_and_layouts)
 {
     // A sliced-eligible population (>= 64 devices per shard) rides the
-    // fused 64x64 tile lane; smaller shards and the threaded execution
-    // degrade to the span lane.  All of it must land on the same
-    // numbers.
-    const auto run_with = [](unsigned shards, core::fleet_execution exe) {
+    // fused 64x64 tile lane; smaller shards degrade to the span lane,
+    // and the per-bit lane is the oracle.  All of it must land on the
+    // same numbers.
+    const auto run_with = [](unsigned shards, core::ingest_lane lane) {
         core::population_config cfg = small_config();
         // Only the cheap always-on pair rides the sliced verdict path.
         cfg.block = core::custom_design(7, hw::test_set{}
@@ -142,35 +143,82 @@ TEST(population, sliced_lane_agrees_across_executions_and_layouts)
                                                .with(hw::test_id::runs));
         cfg.devices = 128;
         cfg.shards = shards;
-        cfg.lane = core::ingest_lane::sliced;
-        cfg.execution = exe;
+        cfg.lane = lane;
         return core::population_monitor(cfg).run();
     };
     const core::population_report baseline =
-        run_with(1, core::fleet_execution::fused);
+        run_with(1, core::ingest_lane::sliced);
     EXPECT_EQ(baseline.lane, "sliced")
         << "128 devices in one shard must fill two whole tile groups";
     const struct {
         unsigned shards;
-        core::fleet_execution exe;
-    } layouts[] = {{2, core::fleet_execution::fused},
-                   {4, core::fleet_execution::fused},
-                   {1, core::fleet_execution::threaded},
-                   {3, core::fleet_execution::fused}};
+        core::ingest_lane lane;
+    } layouts[] = {{2, core::ingest_lane::sliced},
+                   {4, core::ingest_lane::sliced},
+                   {1, core::ingest_lane::per_bit},
+                   {3, core::ingest_lane::sliced}};
     for (const auto& l : layouts) {
-        const core::population_report report = run_with(l.shards, l.exe);
+        const core::population_report report = run_with(l.shards, l.lane);
         EXPECT_TRUE(baseline.same_counters(report))
-            << l.shards << " shards, " << report.execution << "/"
-            << report.lane;
+            << l.shards << " shards, " << report.lane;
         for (std::uint32_t d = 0; d < baseline.devices; ++d) {
             ASSERT_EQ(baseline.device_records[d], report.device_records[d])
                 << "device " << d << " at " << l.shards << " shards "
-                << report.execution;
+                << report.lane;
         }
     }
-    EXPECT_EQ(run_with(1, core::fleet_execution::threaded).lane,
+    EXPECT_EQ(run_with(4, core::ingest_lane::sliced).lane,
               "span (sliced fallback)")
-        << "the threaded execution cannot claim the tile lane";
+        << "32-device shards cannot fill a tile group";
+}
+
+TEST(population, supervised_population_matches_the_per_bit_oracle)
+{
+    // Escalation reprograms devices mid-run; the span lane must cross
+    // every reconfiguration exactly as the per-bit oracle does.
+    const core::population_report span =
+        core::population_monitor(supervised_config()).run();
+    ASSERT_GT(span.escalations, 0u)
+        << "the differential run must actually cross an escalation";
+    core::population_config cfg = supervised_config();
+    cfg.lane = core::ingest_lane::per_bit;
+    cfg.shards = 4;
+    cfg.threads_per_shard = 1;
+    const core::population_report oracle =
+        core::population_monitor(cfg).run();
+    EXPECT_TRUE(span.same_counters(oracle));
+    for (std::uint32_t d = 0; d < span.devices; ++d) {
+        ASSERT_EQ(span.device_records[d], oracle.device_records[d])
+            << "device " << d;
+    }
+}
+
+TEST(population, device_with_an_exact_zero_serial_statistic_completes)
+{
+    // Regression: healthy device 9774 of this master seed escalates, and
+    // its partial evidence ring (n = 128 k bits, not a power of two) has
+    // a serial nabla^2 psi^2 of exactly 0.  Computed as a difference of
+    // psi^2 values it came out slightly negative, igamc threw, and the
+    // whole population run aborted.
+    core::population_config cfg;
+    cfg.block = core::paper_design(7, core::tier::light);
+    cfg.escalated_block = core::paper_design(7, core::tier::medium);
+    cfg.master_seed = 10451216379200822465ULL;
+    const core::fleet_config fcfg = cfg.shard_fleet_config();
+    const core::critical_values cv =
+        core::compute_critical_values(cfg.block, cfg.alpha);
+    const core::critical_values cv_escalated =
+        core::compute_critical_values(*cfg.escalated_block, cfg.alpha);
+    const trng::device_profile profile =
+        trng::sample_device(cfg.profile, cfg.master_seed, 9774);
+    ASSERT_EQ(profile.kind, trng::device_kind::healthy);
+    const auto source =
+        trng::make_device_source(profile, cfg.block.n());
+    const core::channel_report report = core::run_fleet_channel(
+        fcfg, cv, cv_escalated, *source, 0, cfg.windows_per_device);
+    EXPECT_EQ(report.windows, cfg.windows_per_device);
+    EXPECT_EQ(report.escalations, 1u)
+        << "the offline confirmation must actually run";
 }
 
 TEST(population, scheduler_telemetry_is_reported)

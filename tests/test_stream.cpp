@@ -78,21 +78,21 @@ std::vector<core::window_report> streamed_windows(
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline verdicts are register-exact with the batch loops: all eight
-// paper designs, both ingestion lanes (the acceptance oracle).
+// Pipeline verdicts are register-exact with the per-bit batch loop (the
+// acceptance oracle): all eight paper designs, both ingestion lanes.
 // ---------------------------------------------------------------------------
 
-TEST(stream, pipeline_matches_batch_word_lane_all_designs)
+TEST(stream, pipeline_matches_batch_span_lane_all_designs)
 {
     for (const hw::block_config& cfg : core::all_paper_designs()) {
         const std::uint64_t windows = cfg.n() > 100000 ? 2 : 3;
         core::monitor batch(cfg, 0.01);
         trng::ideal_source batch_src(fixture_seed(21));
         const auto streamed = streamed_windows(
-            cfg, fixture_seed(21), windows, core::ingest_lane::word);
+            cfg, fixture_seed(21), windows, core::ingest_lane::span);
         ASSERT_EQ(streamed.size(), windows) << cfg.name;
         for (std::uint64_t w = 0; w < windows; ++w) {
-            const auto ref = batch.test_window_words(batch_src);
+            const auto ref = batch.test_window(batch_src);
             expect_same_report(ref, streamed[w],
                                cfg.name + " window "
                                    + std::to_string(w));
@@ -145,7 +145,7 @@ TEST(stream, run_stream_drains_a_prefilled_ring_single_threaded)
     const std::uint64_t done = mon.run_stream(
         ring,
         [&](const core::window_report& wr) {
-            expect_same_report(batch.test_window_words(batch_src), wr,
+            expect_same_report(batch.test_window(batch_src), wr,
                                "window " + std::to_string(seen));
             ++seen;
             return true;
@@ -238,7 +238,7 @@ TEST(stream, streamed_severity_schedule_is_bit_exact_with_batch)
     std::vector<core::window_report> ref;
     for (std::uint64_t w = 0; w < windows; ++w) {
         batch_model.set_severity(schedule.severity_at(w));
-        ref.push_back(batch.test_window_words(batch_model));
+        ref.push_back(batch.test_window(batch_model));
     }
 
     // Streamed with the word hook.
@@ -468,7 +468,7 @@ TEST(stream, zero_copy_survives_windows_larger_than_the_ring_span)
     core::monitor batch(cfg, 0.01);
     trng::ideal_source replay(fixture_seed(25));
     for (std::uint64_t w = 0; w < windows; ++w) {
-        const auto ref = batch.test_window_words(replay);
+        const auto ref = batch.test_window(replay);
         expect_same_report(ref, reports[w],
                            "window " + std::to_string(w));
     }

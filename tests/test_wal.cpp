@@ -564,4 +564,38 @@ TEST(TelemetryRecords, SupervisorConfigRoundTrip)
     EXPECT_EQ(back.lane, cfg.lane);
 }
 
+TEST(TelemetryRecords, SupervisorConfigLaneByteIsStable)
+{
+    // The lane is the config's last byte.  The surviving lanes keep the
+    // bytes they always had (per_bit 1, span 2, sliced 3); byte 0 -- the
+    // retired word lane, the old default -- decodes as span, and bytes
+    // above 3 stay unknown.
+    const auto serialized = [](core::ingest_lane lane) {
+        core::supervisor_config cfg;
+        cfg.lane = lane;
+        base::byte_sink sink;
+        core::serialize_config(sink, cfg);
+        return sink.take();
+    };
+    const auto parse_with_lane_byte = [&](std::uint8_t byte) {
+        std::vector<std::uint8_t> bytes =
+            serialized(core::ingest_lane::span);
+        bytes.back() = byte;
+        base::byte_cursor cursor(bytes);
+        return core::parse_supervisor_config(cursor).lane;
+    };
+    EXPECT_EQ(serialized(core::ingest_lane::per_bit).back(), 1u);
+    EXPECT_EQ(serialized(core::ingest_lane::span).back(), 2u);
+    EXPECT_EQ(serialized(core::ingest_lane::sliced).back(), 3u);
+
+    EXPECT_EQ(parse_with_lane_byte(0), core::ingest_lane::span);
+    EXPECT_EQ(parse_with_lane_byte(1), core::ingest_lane::per_bit);
+    EXPECT_EQ(parse_with_lane_byte(2), core::ingest_lane::span);
+    EXPECT_EQ(parse_with_lane_byte(3), core::ingest_lane::sliced);
+    for (const std::uint8_t bad : {std::uint8_t{4}, std::uint8_t{255}}) {
+        EXPECT_THROW(parse_with_lane_byte(bad), std::runtime_error)
+            << "lane byte " << unsigned{bad};
+    }
+}
+
 } // namespace

@@ -1,7 +1,8 @@
-// Word-lane equivalence suite: the per-bit path is the oracle, and every
-// batched fast lane must be bit-exact against it -- engine counters through
-// the whole register map, health-test engines, bulk word generation, and
-// the monitor's end-to-end verdicts.
+// Packed-lane equivalence suite: the per-bit path is the oracle, and every
+// batched path must be bit-exact against it -- the span lane's engine
+// counters through the whole register map, the engines' word step,
+// health-test engines, bulk word generation, and the monitor's end-to-end
+// verdicts.
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
 #include "hw/health_tests.hpp"
@@ -81,21 +82,30 @@ void expect_identical_registers(const hw::testing_block& oracle,
     EXPECT_EQ(oracle.done(), fast.done()) << context;
 }
 
+/// Feed a whole sequence through the span lane in one call and finish.
+void run_span(hw::testing_block& block, const bit_sequence& seq)
+{
+    const std::vector<std::uint64_t> words = seq.to_words();
+    block.feed_span(words.data(), seq.size());
+    block.finish();
+}
+
 // ---------------------------------------------------------------------------
-// Testing block: run() vs run_words() over every paper design point.
+// Testing block: run() vs one whole-window feed_span() over every paper
+// design point.
 // ---------------------------------------------------------------------------
 
 class word_path_designs
     : public ::testing::TestWithParam<hw::block_config> {};
 
-TEST_P(word_path_designs, run_words_matches_run_bit_exactly)
+TEST_P(word_path_designs, feed_span_matches_run_bit_exactly)
 {
     const hw::block_config cfg = GetParam();
     for (const bit_sequence& seq : stress_sequences(cfg)) {
         hw::testing_block oracle(cfg);
         hw::testing_block fast(cfg);
         oracle.run(seq);
-        fast.run_words(seq.to_words());
+        run_span(fast, seq);
         expect_identical_registers(oracle, fast, cfg.name);
     }
 }
@@ -125,7 +135,7 @@ TEST(word_path, marginal_transfer_configuration_is_bit_exact)
     hw::testing_block oracle(cfg);
     hw::testing_block fast(cfg);
     oracle.run(seq);
-    fast.run_words(seq.to_words());
+    run_span(fast, seq);
     expect_identical_registers(oracle, fast, "marginal transfer");
 }
 
@@ -137,7 +147,7 @@ TEST(word_path, double_buffered_configuration_is_bit_exact)
     hw::testing_block oracle(cfg);
     hw::testing_block fast(cfg);
     oracle.run(seq);
-    fast.run_words(seq.to_words());
+    run_span(fast, seq);
     expect_identical_registers(oracle, fast, "double buffered");
 
     // Second window through each lane after restart: the latched first
@@ -146,12 +156,12 @@ TEST(word_path, double_buffered_configuration_is_bit_exact)
     oracle.restart();
     fast.restart();
     oracle.run(seq2);
-    fast.run_words(seq2.to_words());
+    run_span(fast, seq2);
     expect_identical_registers(oracle, fast, "double buffered window 2");
 }
 
 // ---------------------------------------------------------------------------
-// Irregular chunking: feed_word with ragged nbits splits.
+// Irregular chunking: feed_span with ragged sub-word splits.
 // ---------------------------------------------------------------------------
 
 TEST(word_path, ragged_chunk_sizes_match_per_bit)
@@ -177,7 +187,7 @@ TEST(word_path, ragged_chunk_sizes_match_per_bit)
         for (std::size_t i = 0; i < take; ++i) {
             word |= static_cast<std::uint64_t>(seq[pos + i] ? 1 : 0) << i;
         }
-        fast.feed_word(word, static_cast<unsigned>(take));
+        fast.feed_span(&word, take);
         pos += take;
     }
     fast.finish();
@@ -228,29 +238,11 @@ TEST(word_path, span_lane_rejects_overrun)
     EXPECT_THROW(block.feed_span(words.data(), 1), std::logic_error);
 }
 
-TEST(word_path, feed_word_rejects_bad_sizes)
-{
-    hw::testing_block block(paper_design(7, tier::light));
-    EXPECT_THROW(block.feed_word(0, 0), std::invalid_argument);
-    EXPECT_THROW(block.feed_word(0, 65), std::invalid_argument);
-    for (int i = 0; i < 2; ++i) {
-        block.feed_word(0, 64); // n = 128: two full words
-    }
-    EXPECT_THROW(block.feed_word(0, 1), std::logic_error);
-}
-
-TEST(word_path, run_words_rejects_wrong_buffer_size)
-{
-    hw::testing_block block(paper_design(7, tier::light));
-    EXPECT_THROW(block.run_words(std::vector<std::uint64_t>(3)),
-                 std::invalid_argument);
-}
-
 TEST(word_path, shared_window_engine_must_override_consume_word)
 {
     // An engine that declares it watches the shared template window but
     // inherits the per-bit consume_word default would silently read a
-    // stale window on the word lane; the base class refuses loudly.
+    // stale window; the base class refuses loudly.
     class lazy_engine final : public hw::engine {
     public:
         lazy_engine() : hw::engine("lazy") {}
@@ -403,16 +395,18 @@ TEST(word_path, bit_sequence_word_round_trip)
 // Monitor: end-to-end verdict equivalence and length validation.
 // ---------------------------------------------------------------------------
 
-TEST(word_path, monitor_word_lane_produces_identical_verdicts)
+TEST(word_path, monitor_span_lane_produces_identical_verdicts)
 {
     const hw::block_config cfg = paper_design(16, tier::high);
     core::monitor oracle(cfg, 0.01);
     core::monitor fast(cfg, 0.01);
     trng::ideal_source bit_src(fixture_seed(12));
     trng::ideal_source word_src(fixture_seed(12));
+    std::vector<std::uint64_t> window(cfg.n() / 64);
     for (int w = 0; w < 3; ++w) {
         const auto a = oracle.test_window(bit_src);
-        const auto b = fast.test_window_words(word_src);
+        word_src.fill_words(window.data(), window.size());
+        const auto b = fast.test_packed(window.data(), window.size());
         ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
         EXPECT_EQ(a.software.all_pass, b.software.all_pass);
         for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
@@ -433,7 +427,8 @@ TEST(word_path, monitor_sequence_lanes_agree)
     core::monitor oracle(cfg, 0.01);
     core::monitor fast(cfg, 0.01);
     const auto a = oracle.test_sequence(seq);
-    const auto b = fast.test_sequence_words(seq.to_words());
+    const std::vector<std::uint64_t> words = seq.to_words();
+    const auto b = fast.test_packed(words.data(), words.size());
     EXPECT_EQ(a.software.all_pass, b.software.all_pass);
     ASSERT_EQ(a.software.verdicts.size(), b.software.verdicts.size());
     for (std::size_t i = 0; i < a.software.verdicts.size(); ++i) {
@@ -458,7 +453,8 @@ TEST(word_path, monitor_rejects_wrong_length_with_clear_error)
     // Too long is rejected up front as well, not mid-stream.
     EXPECT_THROW(mon.test_sequence(bit_sequence(256, false)),
                  std::invalid_argument);
-    EXPECT_THROW(mon.test_sequence_words(std::vector<std::uint64_t>(3)),
+    const std::vector<std::uint64_t> words(3);
+    EXPECT_THROW(mon.test_packed(words.data(), words.size()),
                  std::invalid_argument);
 }
 
