@@ -78,8 +78,6 @@ core::supervision_report run_attack(const core::supervisor_config& cfg,
                                     std::uint64_t onset,
                                     core::telemetry_log* log)
 {
-    const std::size_t nwords =
-        static_cast<std::size_t>(cfg.baseline.n() / 64);
     std::vector<core::scenario> scenarios =
         core::standard_scenarios(onset, smoke_scaled<std::uint64_t>(8, 4));
     std::erase_if(scenarios, [](const core::scenario& sc) {
@@ -100,13 +98,9 @@ core::supervision_report run_attack(const core::supervisor_config& cfg,
     if (log != nullptr) {
         sup.attach_telemetry(log);
     }
-    core::producer_options opts;
-    opts.hook_stride_words = nwords;
-    const core::severity_schedule schedule = sc.schedule;
-    opts.word_hook = [model, schedule, nwords](std::uint64_t word) {
-        model->set_severity(schedule.severity_at(word / nwords));
-    };
-    return sup.run(*stacked, windows, std::move(opts));
+    return sup.run(*stacked, windows, [&](std::uint64_t window) {
+        model->set_severity(sc.schedule.severity_at(window));
+    });
 }
 
 /// Healthy supervised run, for the overhead phase.

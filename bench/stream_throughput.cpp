@@ -1,52 +1,41 @@
-// Stream throughput bench: the decoupled producer → ring → pump pipeline
-// against the fused generate-then-test loop it replaced.
+// Stream throughput bench: the single-channel loop (core::run_windows)
+// on its lanes, the fleet scaling axis and the generation lanes.
 //
-//   $ ./bench_stream_throughput            # full run (enforces the bar)
+//   $ ./bench_stream_throughput            # full run (enforces the bars)
 //   $ OTF_SMOKE=1 ./bench_stream_throughput  # ctest / verify.sh smoke entry
 //
-// Six measurements, the first five on the n = 65536 high-tier design (all
-// nine tests, double-buffered):
+// Four measurements, the first three on the n = 65536 high-tier design
+// (all nine tests, double-buffered):
 //
-//   1. per-bit loop    -- one thread alternating fill_words and the
-//      per-bit oracle lane (one hardware clock per bit), the reference
-//      the fast lane is measured against;
+//   1. per-bit loop    -- core::run_windows on the per-bit oracle lane
+//      (one hardware clock per bit), the reference the fast lane is
+//      measured against;
 //   2. span kernels    -- the same loop on the bulk-span lane
 //      (testing_block::feed_span), swept over the base/bits.hpp kernel
 //      variants (reference / portable / simd).  The dispatched
 //      (simd-or-portable) variant is the fused loop -- the fleet channel
 //      body -- and its acceptance bar is >= 13x the per-bit loop on full
 //      runs;
-//   3. streamed channel -- core::word_producer on its own thread, a
-//      two-window base::ring_buffer, core::window_pump on the caller;
-//      the acceptance bar is >= 0.9x the fused loop (full runs exit
-//      nonzero below it; generation overlaps analysis, so at one channel
-//      the pipeline should roughly break even and win as generation
-//      cost grows);
-//   4. fleet scaling   -- core::fleet_monitor over 1..C channels on the
+//   3. fleet scaling   -- core::fleet_monitor over 1..C channels on the
 //      span lane, reporting aggregate Mbit/s;
-//   5. batch sweep     -- the streamed channel at generation batches from
-//      a quarter window to two windows (a four-window ring), showing
-//      where batching stops paying;
-//   6. generation lane -- every adversarial source model at severity 1.0
+//   4. generation lane -- every adversarial source model at severity 1.0
 //      over an ideal inner, per-word lane (fill_words_scalar) against
 //      the batched lane (fill_words); the acceptance bar is >= 3x
 //      batched-over-scalar for every model on full runs.  The two lanes
 //      are bit-exact (tests/test_generation_oracle.cpp); this times the
-//      producer side the zero-copy ring path exposes.
+//      generation half of every channel loop.
 //
 // Equivalence is proven separately (tests/test_stream.cpp,
 // tests/test_kernel_oracle.cpp and tests/test_generation_oracle.cpp);
 // this is timing only.  Results go to BENCH_stream.json (schema
-// "otf-stream-bench/4", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
+// "otf-stream-bench/5", docs/BENCHMARKS.md; OTF_BENCH_DIR overrides the
 // output directory).
 #include "base/bits.hpp"
 #include "base/env.hpp"
 #include "base/json.hpp"
-#include "base/ring_buffer.hpp"
 #include "core/design_config.hpp"
 #include "core/fleet_monitor.hpp"
 #include "core/monitor.hpp"
-#include "core/stream.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 
@@ -109,18 +98,14 @@ int main(int argc, char** argv)
     const unsigned reps = smoke_scaled(3u, 1u);
 
     // One thread generating a window and testing it on `lane`, repeated:
-    // the fleet channel body.
+    // the channel loop every fleet channel runs.
     const auto time_loop = [&](core::ingest_lane lane) {
         double best = 0.0;
         for (unsigned r = 0; r < reps; ++r) {
             core::monitor mon(design, 0.01);
             trng::ideal_source src(2025);
-            std::vector<std::uint64_t> buffer(nwords);
             const auto t0 = clock_type::now();
-            for (std::uint64_t w = 0; w < windows; ++w) {
-                src.fill_words(buffer.data(), nwords);
-                mon.test_packed(buffer.data(), nwords, lane);
-            }
+            core::run_windows(mon, src, windows, lane, nullptr);
             best = std::max(best,
                             mwords_per_s(total_words, seconds_since(t0)));
         }
@@ -166,43 +151,7 @@ int main(int argc, char** argv)
     bits::set_kernel_variant(bits::kernel_variant::simd);
     const double span_over_per_bit = fused_mwps / per_bit_mwps;
 
-    // 3. Streamed channel: producer thread -> ring -> pump, both hops
-    // zero-copy (generation writes ring storage, the pump feeds ring
-    // spans straight into the testing block).
-    double streamed_mwps = 0.0;
-    core::stream_stats channel_stats;
-    std::uint64_t zero_copy_windows = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-        core::monitor mon(design, 0.01);
-        trng::ideal_source src(2025);
-        const std::size_t ring_words = core::default_ring_words(nwords);
-        base::ring_buffer ring(ring_words);
-        core::producer_options opts;
-        opts.total_words = total_words;
-        opts.batch_words = core::default_batch_words(nwords, ring_words);
-        core::word_producer producer(src, ring, opts);
-        core::window_pump pump(ring, mon);
-        const auto t0 = clock_type::now();
-        core::run_pipeline(producer, pump, nullptr, windows);
-        const double s = seconds_since(t0);
-        const double mwps = mwords_per_s(total_words, s);
-        if (mwps > streamed_mwps) {
-            streamed_mwps = mwps;
-            channel_stats = core::snapshot(ring);
-            zero_copy_windows = pump.zero_copy_windows();
-        }
-    }
-    std::printf("streamed channel: %8.2f Mwords/s   (%.2fx fused; "
-                "ring high-water %zu/%zu words, stalls p=%llu c=%llu)\n",
-                streamed_mwps, streamed_mwps / fused_mwps,
-                channel_stats.max_occupancy, channel_stats.ring_capacity,
-                static_cast<unsigned long long>(
-                    channel_stats.producer_stalls),
-                static_cast<unsigned long long>(
-                    channel_stats.consumer_stalls));
-    const double ratio = streamed_mwps / fused_mwps;
-
-    // 4. Fleet scaling.
+    // 3. Fleet scaling.
     const unsigned max_channels = smoke_scaled(8u, 2u);
     std::printf("\n%-10s %12s %12s\n", "channels", "Mbit/s", "scaling");
     struct scaling_point {
@@ -233,40 +182,7 @@ int main(int argc, char** argv)
         scaling.push_back(p);
     }
 
-    // 5. Batch sweep: the streamed channel on a four-window ring at
-    // generation batches from a quarter window up to two windows -- the
-    // batched lane's cost per word falls with batch size, so this shows
-    // where lifting the old one-window cap pays.
-    struct sweep_point {
-        std::size_t batch_words;
-        std::size_t ring_words;
-        double mwps;
-    };
-    std::vector<sweep_point> sweep;
-    const std::size_t sweep_ring = 4 * nwords;
-    std::printf("\nbatch sweep (ring %zu words):\n", sweep_ring);
-    for (const std::size_t batch :
-         {nwords / 4, nwords / 2, nwords, 2 * nwords}) {
-        double mwps = 0.0;
-        for (unsigned r = 0; r < reps; ++r) {
-            core::monitor mon(design, 0.01);
-            trng::ideal_source src(2025);
-            base::ring_buffer ring(sweep_ring);
-            core::producer_options opts;
-            opts.total_words = total_words;
-            opts.batch_words = batch;
-            core::word_producer producer(src, ring, opts);
-            core::window_pump pump(ring, mon);
-            const auto t0 = clock_type::now();
-            core::run_pipeline(producer, pump, nullptr, windows);
-            mwps = std::max(
-                mwps, mwords_per_s(total_words, seconds_since(t0)));
-        }
-        std::printf("  batch %6zu words: %8.2f Mwords/s\n", batch, mwps);
-        sweep.push_back({batch, sweep_ring, mwps});
-    }
-
-    // 6. Generation lane: every adversarial source model at full
+    // 4. Generation lane: every adversarial source model at full
     // severity over an ideal inner, per-word lane against the batched
     // lane.  Bit-exactness of the two lanes is the oracle test's job
     // (tests/test_generation_oracle.cpp); this times them.
@@ -374,7 +290,7 @@ int main(int argc, char** argv)
 
     json_writer json;
     json.begin_object();
-    json.value("schema", "otf-stream-bench/4");
+    json.value("schema", "otf-stream-bench/5");
     json.value("smoke", smoke_mode());
     json.value("design", design.name);
     json.value("window_bits", design.n());
@@ -396,33 +312,12 @@ int main(int argc, char** argv)
     }
     json.end_array();
     json.value("span_over_per_bit", span_over_per_bit);
-    json.value("streamed_mwords_per_s", streamed_mwps);
-    json.value("streamed_over_fused", ratio);
-    json.value("zero_copy_windows", zero_copy_windows);
-    json.begin_object("channel_ring");
-    json.value("capacity_words",
-               static_cast<std::uint64_t>(channel_stats.ring_capacity));
-    json.value("max_occupancy_words",
-               static_cast<std::uint64_t>(channel_stats.max_occupancy));
-    json.value("producer_stalls", channel_stats.producer_stalls);
-    json.value("consumer_stalls", channel_stats.consumer_stalls);
-    json.end_object();
     json.begin_array("fleet");
     for (const scaling_point& p : scaling) {
         json.begin_object();
         json.value("channels", p.channels);
         json.value("mbps", p.mbps);
         json.value("scaling", p.scaling);
-        json.end_object();
-    }
-    json.end_array();
-    json.begin_array("batch_sweep");
-    for (const sweep_point& p : sweep) {
-        json.begin_object();
-        json.value("batch_words",
-                   static_cast<std::uint64_t>(p.batch_words));
-        json.value("ring_words", static_cast<std::uint64_t>(p.ring_words));
-        json.value("mwords_per_s", p.mwps);
         json.end_object();
     }
     json.end_array();
@@ -449,26 +344,11 @@ int main(int argc, char** argv)
     }
     std::printf("\nwrote %s\n", path.c_str());
 
-    // Acceptance bars.  The timing bars run on full runs only (smoke
-    // runs are too short to time reliably): the decoupled pipeline must
-    // stay within 10% of the fused loop, the dispatched span kernels
-    // must beat the per-bit lane at least 13x, and the batched generation
-    // lane must at least triple the per-word lane for every model.  The
-    // zero-copy check is deterministic (an untapped pump takes the
-    // zero-copy path for every window), so it holds in smoke mode too.
+    // Acceptance bars, on full runs only (smoke runs are too short to
+    // time reliably): the dispatched span kernels must beat the per-bit
+    // lane at least 13x, and the batched generation lane must at least
+    // triple the per-word lane for every model.
     bool failed = false;
-    if (zero_copy_windows != windows) {
-        std::printf("BAR FAILED: zero_copy_windows = %llu, expected "
-                    "%llu (untapped pump must take the zero-copy path "
-                    "for every window)\n",
-                    static_cast<unsigned long long>(zero_copy_windows),
-                    static_cast<unsigned long long>(windows));
-        failed = true;
-    }
-    if (!smoke_mode() && ratio < 0.9) {
-        std::printf("BAR FAILED: streamed/fused = %.3f < 0.9\n", ratio);
-        failed = true;
-    }
     if (!smoke_mode() && span_over_per_bit < 13.0) {
         std::printf("BAR FAILED: span/per-bit = %.3f < 13.0\n",
                     span_over_per_bit);
@@ -483,8 +363,6 @@ int main(int argc, char** argv)
     if (failed) {
         return 1;
     }
-    std::printf("streamed/fused = %.3f (bar: >= 0.9%s)\n", ratio,
-                smoke_mode() ? ", not enforced in smoke mode" : "");
     std::printf("span/per-bit   = %.3f (bar: >= 13.0%s)\n",
                 span_over_per_bit,
                 smoke_mode() ? ", not enforced in smoke mode" : "");

@@ -1,32 +1,31 @@
-// Streaming pipeline example: open-ended continuous monitoring over the
-// producer → ring → pump ingestion core.
+// Streaming example: open-ended continuous monitoring through the
+// single-channel loop (core::run_windows).
 //
 //   $ ./stream_pipeline              # full run
 //   $ OTF_SMOKE=1 ./stream_pipeline  # ctest smoke entry
 //
 // This is the paper's deployment shape with no batch boundary anywhere:
-// a degrading TRNG (bias-drift source model) free-runs on its own
-// generation thread, words flow through a lock-free SPSC ring, and
-// monitor::run_stream polls verdicts window by window -- the MSP430's
-// role -- with an AIS-31-style k-of-w alarm as the per-window sink.
-// Nothing decides a window count up front; the *sink* ends the stream by
-// returning false once the alarm fires, and the producer is wound down
-// through the ring's close protocol.
+// a degrading TRNG (bias-drift source model) is generated and tested one
+// window at a time, the testing block analysing every bit as it is
+// produced, and the loop's sink polls verdicts window by window -- the
+// MSP430's role -- with an AIS-31-style k-of-w alarm.  The severity
+// ramp rides the loop's between-windows hook.  Nothing decides a window
+// count up front (the cap is only a safety net); the *sink* ends the
+// stream by returning false once the alarm fires.
 //
-// Exit status checks the contract: the drift must be caught, and the
-// ring telemetry must show a live pipeline (words flowed, occupancy
-// bounded by capacity).
+// Exit status checks the contract: the drift must be caught, the alarm
+// must come after the onset, and the sink must end the run before the
+// safety cap.
 #include "base/env.hpp"
-#include "base/ring_buffer.hpp"
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
 #include "core/scenario.hpp"
-#include "core/stream.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 using namespace otf;
 
@@ -34,12 +33,9 @@ int main()
 {
     const hw::block_config design =
         core::paper_design(16, core::tier::high);
-    const std::size_t nwords =
-        static_cast<std::size_t>(design.n() / 64);
 
     // A slowly degrading source: the bias walks outward while severity
-    // ramps with the stream position (driven by the producer's word
-    // hook, one decision per window boundary).
+    // ramps with the window index (one decision per window boundary).
     trng::bias_drift_parameters drift;
     drift.step_bits = 256;
     drift.max_shift_q = 96;
@@ -53,15 +49,6 @@ int main()
     core::monitor mon(design, 0.001);
     core::windowed_alarm alarm(2, 8);
 
-    base::ring_buffer ring(core::default_ring_words(nwords));
-    core::producer_options opts; // total_words = 0: open-ended
-    opts.hook_stride_words = nwords;
-    opts.word_hook = [&](std::uint64_t word) {
-        source.set_severity(schedule.severity_at(word / nwords));
-    };
-    core::word_producer producer(source, ring, opts);
-    core::window_pump pump(ring, mon);
-
     std::printf("continuous monitoring: %s, alarm = 2-of-8, "
                 "drift onset at window %llu\n\n",
                 design.name.c_str(),
@@ -70,8 +57,8 @@ int main()
                 "failing tests");
 
     const std::uint64_t safety_cap = smoke_scaled<std::uint64_t>(256, 64);
-    const std::uint64_t windows = core::run_pipeline(
-        producer, pump,
+    const std::uint64_t windows = core::run_windows(
+        mon, source, safety_cap, core::ingest_lane::span,
         [&](const core::window_report& wr) {
             const bool failed = !wr.software.all_pass;
             const bool alarmed = alarm.record(failed);
@@ -87,16 +74,13 @@ int main()
                         alarmed ? "ALARM" : "-", failing.c_str());
             return !alarmed; // the sink ends the open-ended stream
         },
-        safety_cap);
+        [&](std::uint64_t window) {
+            source.set_severity(schedule.severity_at(window));
+        });
 
-    const core::stream_stats stats = core::snapshot(ring);
-    std::printf("\nstopped after %llu windows; ring: %llu words through, "
-                "high-water %zu/%zu, stalls p=%llu c=%llu\n",
+    std::printf("\nstopped after %llu windows (safety cap %llu)\n",
                 static_cast<unsigned long long>(windows),
-                static_cast<unsigned long long>(stats.words),
-                stats.max_occupancy, stats.ring_capacity,
-                static_cast<unsigned long long>(stats.producer_stalls),
-                static_cast<unsigned long long>(stats.consumer_stalls));
+                static_cast<unsigned long long>(safety_cap));
 
     if (!alarm.alarm()) {
         std::printf("CONTRACT FAILED: the drift was never caught\n");
@@ -106,8 +90,8 @@ int main()
         std::printf("CONTRACT FAILED: alarm before the drift onset\n");
         return 1;
     }
-    if (stats.words == 0 || stats.max_occupancy > stats.ring_capacity) {
-        std::printf("CONTRACT FAILED: implausible ring telemetry\n");
+    if (windows >= safety_cap) {
+        std::printf("CONTRACT FAILED: the sink never ended the run\n");
         return 1;
     }
     std::printf("detected %llu windows after onset\n",

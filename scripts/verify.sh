@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, and run the full ctest suite, then the
 # fleet-throughput, scenario-matrix and stream-throughput smoke runs (the
-# span-lane/fleet, scenario and streaming-pipeline subsystems must never
+# span-lane/fleet, scenario and channel-loop subsystems must never
 # bit-rot silently, so they run explicitly even outside ctest).  The
 # benches drop their BENCH_*.json telemetry into the build directory
 # (docs/BENCHMARKS.md); the files are validated as JSON when python3 is
@@ -24,7 +24,7 @@ OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_fleet_throughput
 echo "== scenario matrix smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_scenario_matrix
 
-echo "== stream pipeline smoke (OTF_SMOKE=1) =="
+echo "== stream throughput smoke (OTF_SMOKE=1) =="
 OTF_SMOKE=1 OTF_BENCH_DIR="$BUILD_DIR" "$BUILD_DIR"/bench/bench_stream_throughput
 
 echo "== escalation supervisor smoke (OTF_SMOKE=1) =="
@@ -100,27 +100,27 @@ print("ok: otf-population/3 (%d workers, %d steals, %d flushes)"
       % (exe["worker_threads"], exe["steals"], exe["telemetry_flushes"]))
 EOF
 
-    echo "== validating otf-stream-bench/4 schema =="
-    # The stream bench must report the /4 schema: the span lane against
-    # the per-bit loop, the generation axis with all six adversarial
-    # models, and a streamed channel that took the zero-copy window path
-    # (docs/BENCHMARKS.md).
+    echo "== validating otf-stream-bench/5 schema =="
+    # The stream bench must report the /5 schema: the channel loop's span
+    # lane against its per-bit lane and the generation axis with all six
+    # adversarial models; the retired streamed-channel and batch-sweep
+    # fields must be gone (docs/BENCHMARKS.md).
     python3 - "$BUILD_DIR"/BENCH_stream.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "otf-stream-bench/4", doc["schema"]
+assert doc["schema"] == "otf-stream-bench/5", doc["schema"]
 assert doc["per_bit_mwords_per_s"] > 0, doc["per_bit_mwords_per_s"]
 assert doc["span_over_per_bit"] > 0, doc["span_over_per_bit"]
 models = [g["model"] for g in doc["generation"]]
 expected = {"rtn", "bias_drift", "lockin", "fault", "entropy_collapse",
             "substitution"}
 assert set(models) == expected and len(models) == 6, models
-assert doc["zero_copy_windows"] == doc["windows"], (
-    doc["zero_copy_windows"], doc["windows"])
-assert doc["batch_sweep"], "batch_sweep must not be empty"
-print("ok: otf-stream-bench/4 (%d generation models, %d zero-copy windows)"
-      % (len(models), doc["zero_copy_windows"]))
+for key in ("streamed_mwords_per_s", "streamed_over_fused",
+            "zero_copy_windows", "channel_ring", "batch_sweep"):
+    assert key not in doc, key
+print("ok: otf-stream-bench/5 (%d generation models, span %.2fx per-bit)"
+      % (len(models), doc["span_over_per_bit"]))
 EOF
 fi
 

@@ -1,6 +1,5 @@
 #include "core/fleet_monitor.hpp"
 
-#include "core/stream.hpp"
 #include "hw/sliced_block.hpp"
 
 #include <atomic>
@@ -115,9 +114,9 @@ fleet_monitor::fleet_monitor(fleet_config cfg, critical_values cv,
 
 namespace {
 
-/// One channel's pipeline: a monitor (or an escalation supervisor owning
-/// one), its source and the windowed alarm policy.  The worker generates
-/// each window into a staging buffer and tests it in the same pass.
+/// One channel: a monitor (or an escalation supervisor owning one), its
+/// source and the windowed alarm policy.  The worker runs it through
+/// core::run_windows, generating and testing each window in one pass.
 struct channel_state {
     channel_state(const fleet_config& cfg, const critical_values& cv,
                   const std::optional<critical_values>& cv_escalated,
@@ -142,64 +141,24 @@ struct channel_state {
 
     monitor& active_monitor() { return sup ? sup->inner() : *mon; }
 
-    void run_windows(const fleet_config& cfg, std::uint64_t windows)
+    void run(const fleet_config& cfg, std::uint64_t windows)
     {
-        std::size_t nwords = static_cast<std::size_t>(cfg.block.n() / 64);
-        if (nwords == 0 && cfg.lane == ingest_lane::per_bit) {
-            // Sub-word designs (n < 64) have no packed window; the
-            // per-bit lane runs them bit by bit, while the packed lanes
-            // reject them below with test_packed's length error.
-            // fleet_config::validate() rejects supervision here.
-            for (std::uint64_t w = 0; w < windows; ++w) {
-                observe(mon->test_window(*source));
-            }
-            finish();
-            return;
-        }
-        std::vector<std::uint64_t> staging(nwords);
-        window_tap tap;
         window_barrier barrier;
+        window_tap tap;
         if (sup) {
-            tap = sup->tap();
             barrier = sup->barrier();
+            tap = sup->tap();
         }
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            if (sup) {
-                // The reconfiguration barrier between windows: no
-                // window is in flight, so the supervisor may reprogram
-                // the design -- same contract as window_pump, which
-                // fires it whenever a window boundary is crossed.
-                barrier(active_monitor().windows_tested());
-                const auto now = static_cast<std::size_t>(
-                    active_monitor().config().n() / 64);
-                if (now != nwords) {
-                    nwords = now;
-                    staging.assign(nwords, 0);
+        run_windows(
+            active_monitor(), *source, windows, cfg.lane,
+            [this](const window_report& wr) {
+                if (sup) {
+                    sup->observe(wr);
                 }
-            }
-            std::size_t filled = 0;
-            while (filled < nwords) {
-                const std::size_t got = source->fill_words_available(
-                    staging.data() + filled, nwords - filled);
-                if (got == 0) {
-                    throw std::runtime_error(
-                        "source \"" + report.source_name
-                        + "\" ran dry after " + std::to_string(w)
-                        + " of " + std::to_string(windows) + " windows");
-                }
-                filled += got;
-            }
-            if (sup) {
-                tap(active_monitor().windows_tested(), staging.data(),
-                    nwords);
-            }
-            const window_report wr = active_monitor().test_packed(
-                staging.data(), nwords, cfg.lane);
-            if (sup) {
-                sup->observe(wr);
-            }
-            observe(wr);
-        }
+                observe(wr);
+                return true;
+            },
+            barrier, tap);
         finish();
     }
 
@@ -256,7 +215,7 @@ channel_report run_fleet_channel(
 {
     channel_state state(cfg, cv, cv_escalated, source);
     state.report.channel = channel;
-    state.run_windows(cfg, windows);
+    state.run(cfg, windows);
     return std::move(state.report);
 }
 

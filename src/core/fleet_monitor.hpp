@@ -8,10 +8,10 @@
 // the aggregated result is a pure function of the per-channel seeds --
 // independent of thread count and scheduling.
 //
-// Execution is *fused*: the worker thread that owns a channel generates
-// its words into a per-worker staging buffer and tests them in the same
-// pass on the same core -- no ring, no producer thread, no SPSC hand-off.
-// A single channel rides the span lane; groups of 64 eligible channels
+// Execution is *fused*: the worker thread that owns a channel runs it
+// through core::run_windows, the one single-channel loop, generating each
+// window into a staging buffer and testing it in the same pass on the
+// same core.  A single channel rides the span lane; groups of 64 eligible channels
 // ride the bit-sliced lane through a 64x64-word tile (one transpose per
 // tile, hw::sliced_block::feed_tile).  The per-bit lane stays selectable
 // as the differential oracle both fast paths must match bit for bit

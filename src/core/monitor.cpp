@@ -2,6 +2,7 @@
 
 #include "core/sp80090b.hpp"
 
+#include <stdexcept>
 #include <string>
 
 namespace otf::core {
@@ -107,6 +108,52 @@ void monitor::reconfigure(const hw::block_config& target,
 void monitor::reconfigure(const hw::block_config& target, double alpha)
 {
     reconfigure(target, compute_critical_values(target, alpha));
+}
+
+std::uint64_t run_windows(monitor& mon, trng::entropy_source& source,
+                          std::uint64_t windows, ingest_lane lane,
+                          const window_sink& sink,
+                          const window_barrier& barrier,
+                          const window_tap& tap)
+{
+    std::vector<std::uint64_t> staging(
+        static_cast<std::size_t>(mon.config().n() / 64));
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        if (barrier) {
+            // No window is in flight and nothing is generated ahead, so
+            // the hook may reprogram the design; the length is re-read
+            // below.
+            barrier(mon.windows_tested());
+        }
+        const std::uint64_t n = mon.config().n();
+        window_report wr;
+        if (n < 64 && lane == ingest_lane::per_bit) {
+            wr = mon.test_window(source);
+        } else {
+            const auto nwords = static_cast<std::size_t>(n / 64);
+            staging.resize(nwords);
+            std::size_t filled = 0;
+            while (filled < nwords) {
+                const std::size_t got = source.fill_words_available(
+                    staging.data() + filled, nwords - filled);
+                if (got == 0) {
+                    throw std::runtime_error(
+                        "source \"" + source.name() + "\" ran dry after "
+                        + std::to_string(w) + " of "
+                        + std::to_string(windows) + " windows");
+                }
+                filled += got;
+            }
+            if (tap) {
+                tap(mon.windows_tested(), staging.data(), nwords);
+            }
+            wr = mon.test_packed(staging.data(), nwords, lane);
+        }
+        if (sink && !sink(wr)) {
+            return w + 1;
+        }
+    }
+    return windows;
 }
 
 windowed_alarm::windowed_alarm(unsigned threshold, unsigned window)

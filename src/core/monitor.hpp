@@ -9,6 +9,13 @@
 // answer to the "tests change the chip's noise environment" objection --
 // and report numeric per-test verdicts rather than one alarm wire.
 //
+// `run_windows` is that deployment loop in software: generate a window,
+// test it, hand the verdicts to a sink, one window at a time on one
+// thread.  Every single channel -- fleet channels, population devices,
+// the escalation supervisor, scenario trials -- runs through it; the
+// loop-specific behaviour (alarms, severity schedules, escalation,
+// evidence capture) rides its sink, barrier and tap hooks.
+//
 // `health_monitor` adds an AIS-31-flavoured decision policy on top: a
 // sliding window of recent verdicts, a noise-alarm threshold (k failures in
 // the last w windows), and failure counters per test.
@@ -27,10 +34,6 @@
 #include <memory>
 #include <optional>
 #include <vector>
-
-namespace otf::base {
-class ring_buffer;
-} // namespace otf::base
 
 namespace otf::core {
 
@@ -63,10 +66,29 @@ enum class ingest_lane : std::uint8_t {
     sliced = 3,
 };
 
-/// \brief Per-window callback of the streaming pipeline (core/stream.hpp):
+/// \brief Per-window callback of the channel loop (core::run_windows):
 /// alarm policies, scenario accounting and fleet aggregation are all sinks
-/// over the shared window stream.  Return false to stop the stream.
+/// over the same window stream.  Return false to stop the loop.
 using window_sink = std::function<bool(const window_report&)>;
+
+/// \brief Raw-window observer of the channel loop: invoked with every
+/// packed window *before* it is tested.  This is the evidence-capture
+/// hook of the escalation supervisor (core/supervisor.hpp): online
+/// verdicts come from the sink, the raw words that produced them from
+/// the tap, so a suspicious stretch can be replayed offline.
+using window_tap = std::function<void(
+    std::uint64_t window_index, const std::uint64_t* words,
+    std::size_t nwords)>;
+
+/// \brief Between-windows callback of the channel loop: runs at every
+/// window boundary (never mid-window) with the index of the window about
+/// to be generated.  This is the *mid-stream reconfiguration barrier*: a
+/// hook that reprograms the monitor's testing block here changes the
+/// design point -- including the window length -- and the loop frames
+/// the next window at the new length without dropping a word (nothing
+/// is generated ahead of the barrier).  Severity schedules ride the same
+/// hook, so they step on true window indices whatever the window length.
+using window_barrier = std::function<void(std::uint64_t next_window)>;
 
 class monitor {
 public:
@@ -100,8 +122,8 @@ public:
     /// lengths when they differ.
     window_report test_sequence(const bit_sequence& seq);
 
-    /// \brief Test one pre-packed window from a raw span -- the streaming
-    /// pipeline's allocation-free entry point (core/stream.hpp).
+    /// \brief Test one pre-packed window from a raw span -- the channel
+    /// loop's allocation-free entry point (core::run_windows).
     /// \param words  LSB-first packed window; `nwords * 64` must equal n
     /// \param nwords number of 64-bit words
     /// \param lane   span fast lane or per-bit oracle lane; register-exact
@@ -112,11 +134,11 @@ public:
                               std::size_t nwords,
                               ingest_lane lane = ingest_lane::span);
 
-    /// \brief Zero-copy streaming ingestion, step 1: feed part of the
-    /// current window from a contiguous span.  Unlike test_packed() the
-    /// span need not be a whole window -- the window_pump feeds ring
-    /// spans as they surface (base::ring_buffer::peek) and closes the
-    /// window with finish_packed() once exactly n bits have arrived.
+    /// \brief Split ingestion, step 1: feed part of the current window
+    /// from a contiguous span.  Unlike test_packed() the span need not be
+    /// a whole window -- a caller that times the engine feed and the
+    /// software pass separately feeds spans as they arrive and closes
+    /// the window with finish_packed() once exactly n bits have arrived.
     /// All lanes are chunk-invariant, so ragged spans are register-exact
     /// with one whole-window feed.
     /// \param words  LSB-first packed span
@@ -125,29 +147,11 @@ public:
     void feed_packed(const std::uint64_t* words, std::size_t nwords,
                      ingest_lane lane = ingest_lane::span);
 
-    /// \brief Zero-copy streaming ingestion, step 2: close the window the
+    /// \brief Split ingestion, step 2: close the window the
     /// feed_packed() calls filled and run the software pass.
     /// \throws std::logic_error (from the testing block) unless exactly n
     /// bits were fed since the last window boundary
     window_report finish_packed();
-
-    /// \brief Continuous streaming mode: drain whole windows from `ring`
-    /// until the producer closes it (open-ended window count), invoking
-    /// `sink` after every window.  The paper's deployment shape -- the
-    /// FPGA block streams while the MSP430 polls verdicts -- with the
-    /// ring standing in for the hardware FIFO.  Defined in
-    /// core/stream.cpp on top of core::window_pump.
-    /// \param ring        SPSC word ring a core::word_producer (or any
-    ///                    single producer) is feeding
-    /// \param sink        per-window callback; return false to stop early
-    ///                    (may be null)
-    /// \param lane        ingestion lane for every window
-    /// \param max_windows optional cap; 0 = run until the ring drains
-    /// \return windows tested during this call
-    std::uint64_t run_stream(base::ring_buffer& ring,
-                             const window_sink& sink,
-                             ingest_lane lane = ingest_lane::span,
-                             std::uint64_t max_windows = 0);
 
     /// \brief On-the-fly reconfiguration: reprogram the live testing
     /// block to `target` *through the register-map write path*
@@ -168,8 +172,8 @@ public:
     std::uint64_t windows_tested() const { return windows_; }
 
     /// \brief Checkpoint restore: continue the global window numbering
-    /// of a previous run.  `window_report.window_index` and the stream
-    /// pump's tap/barrier indices all derive from this counter, so a
+    /// of a previous run.  `window_report.window_index` and the channel
+    /// loop's tap/barrier indices all derive from this counter, so a
     /// restored channel numbers its windows exactly as the uninterrupted
     /// run would.  Legal between windows only (the counter is read at
     /// window boundaries).
@@ -184,6 +188,35 @@ private:
 
     window_report finish_window();
 };
+
+/// \brief The single-channel loop: generate and test `windows` windows
+/// from `source` on `mon`, one window at a time on the calling thread.
+///
+/// Each window runs barrier -> fill_words_available into a staging
+/// buffer -> tap -> test_packed -> sink.  The window length is re-read
+/// after the barrier, so a barrier that reprograms the design re-frames
+/// the stream.  Sub-word designs (n < 64) have no packed window: the
+/// per-bit lane tests them bit by bit through test_window() (the tap
+/// does not see them), the packed lanes reject them with test_packed()'s
+/// length error.  Register-exact with a direct test_window() loop on
+/// every lane.
+/// \param mon     the channel's monitor (defines the window length n)
+/// \param source  word supplier (fill_words_available)
+/// \param windows windows to test
+/// \param lane    ingestion lane for every window
+/// \param sink    per-window verdict callback; return false to stop early
+///                (may be null)
+/// \param barrier between-windows hook (may be null)
+/// \param tap     raw-window evidence hook (may be null)
+/// \return windows completed (fewer than `windows` only when the sink
+///         stopped the loop)
+/// \throws std::runtime_error naming the source when it runs dry before
+///         `windows` windows
+std::uint64_t run_windows(monitor& mon, trng::entropy_source& source,
+                          std::uint64_t windows, ingest_lane lane,
+                          const window_sink& sink,
+                          const window_barrier& barrier = {},
+                          const window_tap& tap = {});
 
 /// \brief One observable rising edge of an alarm path.  The alarm used
 /// to be a bare boolean; supervision needs the *when* and the evidence

@@ -1,7 +1,5 @@
 #include "core/scenario.hpp"
 
-#include "base/ring_buffer.hpp"
-#include "core/stream.hpp"
 #include "trng/sources.hpp"
 
 #include <chrono>
@@ -124,8 +122,7 @@ scenario_report scenario_runner::run(const scenario& sc) const
 
         bool alarmed = false;
         bool false_alarmed = false;
-        // The detection accounting is a window sink over the stream --
-        // shared by the pipeline and the sub-word fallback below.
+        // The detection accounting is a window sink over the trial.
         const window_sink account = [&](const window_report& wr) {
             const std::uint64_t w = wr.window_index;
             const bool failed = !wr.software.all_pass;
@@ -159,45 +156,18 @@ scenario_report scenario_runner::run(const scenario& sc) const
             return true;
         };
 
-        // One trial = one pass through the streaming ingestion core.
-        // The severity schedule rides the producer's word hook: it is
-        // advanced at word granularity (word_index / words-per-window),
-        // which lands on exactly the per-window steps of the old batch
-        // loop because windows are whole multiples of the hook stride.
-        const std::size_t nwords =
-            static_cast<std::size_t>(block_.n() / 64);
-        if (nwords == 0) {
-            // Sub-word designs (n < 64) cannot ride the word-granular
-            // ring; the per-bit lane runs them through the direct batch
-            // loop, and test_packed rejects them on the packed lanes
-            // with its length error.
-            for (std::uint64_t w = 0; w < cfg_.windows; ++w) {
-                if (model) {
-                    model->set_severity(sc.schedule.severity_at(w));
-                }
-                account(cfg_.lane == ingest_lane::per_bit
-                            ? mon.test_window(*source)
-                            : mon.test_packed(nullptr, 0, cfg_.lane));
-            }
-        } else {
-            const std::size_t ring_words = default_ring_words(nwords);
-            base::ring_buffer ring(ring_words);
-            producer_options opts;
-            opts.total_words = cfg_.windows * nwords;
-            opts.batch_words = default_batch_words(nwords, ring_words);
-            opts.hook_stride_words = nwords;
-            if (model) {
-                const severity_schedule& schedule = sc.schedule;
-                opts.word_hook = [model, schedule,
-                                  nwords](std::uint64_t word) {
-                    model->set_severity(
-                        schedule.severity_at(word / nwords));
-                };
-            }
-            word_producer producer(*source, ring, opts);
-            window_pump pump(ring, mon, cfg_.lane);
-            run_pipeline(producer, pump, account, cfg_.windows);
+        // One trial = one pass through the channel loop.  The severity
+        // schedule rides its between-windows hook, so the model steps
+        // exactly at each window boundary (the trial's monitor counts
+        // windows from 0).
+        window_barrier severity;
+        if (model) {
+            severity = [model, &sc](std::uint64_t window) {
+                model->set_severity(sc.schedule.severity_at(window));
+            };
         }
+        run_windows(mon, *source, cfg_.windows, cfg_.lane, account,
+                    severity);
         rep.trials_alarmed += alarmed ? 1 : 0;
         rep.trials_false_alarmed += false_alarmed ? 1 : 0;
         rep.bits += cfg_.windows * block_.n();

@@ -4,18 +4,19 @@
 // The paper's platform is sold on two mechanisms this module finally wires
 // together: the testing block is *reconfigured on the fly* through its
 // register map, and online hardware verdicts are *re-verified offline in
-// software*.  The supervisor runs the streaming pipeline at a cheap
-// always-on baseline design, keeps a bounded evidence ring of recent raw
-// windows (tapped off the pump), and reacts to a k-of-w alarm in three
-// moves:
+// software*.  The supervisor runs its channel through core::run_windows
+// at a cheap always-on baseline design, keeps a bounded evidence ring of
+// recent raw windows (the loop's window tap), and reacts to a k-of-w
+// alarm in three moves:
 //
 //   1. escalate  -- at the next window boundary the live testing block is
 //                   reprogrammed to a heavier design point through the
 //                   hw::register_map write path (the paper's actual
 //                   reconfiguration mechanism); no word of the stream is
-//                   dropped -- the words wait in the ring while the
-//                   hardware rebuilds, and the pump re-frames to the new
-//                   window length;
+//                   dropped -- the reprogramming runs in the loop's
+//                   between-windows barrier, before the next window is
+//                   generated, and that window is framed at the new
+//                   length;
 //   2. confirm   -- the captured evidence is replayed offline through the
 //                   composable SP 800-22 battery (nist/battery.hpp), the
 //                   embedded analogue of shipping a suspicious stretch to
@@ -35,7 +36,6 @@
 #include "base/wal.hpp"
 #include "core/critical_values.hpp"
 #include "core/monitor.hpp"
-#include "core/stream.hpp"
 #include "nist/battery.hpp"
 
 #include <cstdint>
@@ -137,13 +137,13 @@ struct supervisor_config {
     ingest_lane lane = ingest_lane::span;
 
     /// \throws std::invalid_argument on inconsistent designs (both must
-    /// be streamable: n >= 64), an invalid alarm policy, zero evidence
-    /// depth or zero dwell
+    /// hold whole packed words for the evidence tap: n >= 64), an invalid
+    /// alarm policy, zero evidence depth or zero dwell
     void validate() const;
 };
 
 /// \brief Aggregated telemetry of one supervised run.  Deterministic for
-/// a fixed source except `seconds` and `stream`.
+/// a fixed source except `seconds`.
 struct supervision_report {
     std::uint64_t windows = 0;  ///< windows tested (all designs)
     std::uint64_t failures = 0; ///< windows with any failing test
@@ -159,7 +159,6 @@ struct supervision_report {
     std::map<std::string, std::uint64_t> failures_by_test;
     /// The full structured timeline.
     std::vector<supervision_event> events;
-    stream_stats stream;  ///< pipeline backpressure (run() only)
     double seconds = 0.0; ///< wall clock (run() only)
 };
 
@@ -204,7 +203,7 @@ struct supervisor_checkpoint {
     std::vector<supervision_event> events; ///< full timeline so far
 
     /// The monitor's lifetime window counter (window_report.window_index
-    /// and the stream barrier both derive from it).
+    /// and the loop's barrier index both derive from it).
     std::uint64_t monitor_windows = 0;
 
     friend bool operator==(const supervisor_checkpoint&,
@@ -222,9 +221,9 @@ supervisor_checkpoint parse_checkpoint(
 
 /// \brief The escalation supervisor for one channel.  Owns the monitor
 /// (constructed at the baseline design) and the evidence ring; exposes
-/// the three pipeline hooks -- sink (verdicts), tap (evidence), barrier
-/// (reconfiguration) -- so it drops onto any producer/pump pipeline, and
-/// a one-call run() that builds the pipeline itself.
+/// the three channel-loop hooks -- sink (verdicts), tap (evidence),
+/// barrier (reconfiguration) -- for callers that drive core::run_windows
+/// (or their own per-window loop) themselves, and a one-call run().
 class supervisor {
 public:
     /// \brief Validate the policy and invert both designs' critical
@@ -254,33 +253,34 @@ public:
 
     /// \brief The between-windows barrier action: apply a queued
     /// escalation (reprogram through the register map + offline-confirm
-    /// the evidence) or a matured de-escalation.  Called by the pump's
+    /// the evidence) or a matured de-escalation.  Called by the loop's
     /// barrier hook, never mid-window.
     void at_barrier(std::uint64_t next_window);
 
-    // Pipeline adapters for external pumps (the fleet's channel loops).
+    // Channel-loop adapters for external loops (the fleet's channels).
     window_sink sink();
     window_tap tap();
     window_barrier barrier();
 
-    /// \brief Run one source through a private producer/ring/pump
-    /// pipeline for `windows` windows (producer on its own thread).
-    /// \param source   entropy source (typically a source_model stack)
-    /// \param windows  windows to test; counts windows of whatever
-    ///                 design is live when each is assembled
-    /// \param opts     producer pass-through: the severity schedule's
-    ///                 word hook and an optional ring-depth override
-    ///                 (total_words is forced open-ended -- window
-    ///                 length changes mid-run, so the word total is not
-    ///                 knowable up front)
+    /// \brief Run one source through core::run_windows for `windows`
+    /// windows on the calling thread.
+    /// \param source    entropy source (typically a source_model stack)
+    /// \param windows   windows to test; counts windows of whatever
+    ///                  design is live when each is generated
+    /// \param on_window optional per-window hook, called at every window
+    ///                  boundary with the index of the window about to
+    ///                  be generated, before at_barrier() -- the home of
+    ///                  severity schedules.  It sees true window indices
+    ///                  even when an escalation changes the window length.
     /// \return the aggregated report (also available via report())
+    /// \throws std::runtime_error when the source runs dry first
     supervision_report run(trng::entropy_source& source,
                            std::uint64_t windows,
-                           producer_options opts = {});
+                           const window_barrier& on_window = {});
 
-    /// \brief Aggregate the counters accumulated so far (for external-
-    /// pipeline integrations that drive observe/capture/at_barrier
-    /// themselves; `stream` and `seconds` stay zero).
+    /// \brief Aggregate the counters accumulated so far (for external
+    /// loops that drive observe/capture/at_barrier themselves; `seconds`
+    /// stays zero).
     supervision_report report() const;
 
     /// \brief Serialize the event timeline as a JSON array under `key`
@@ -302,7 +302,7 @@ public:
 
     /// \brief Capture the complete between-windows state (legal at a
     /// window boundary only -- call from a barrier, after run(), or
-    /// between external-pipeline windows).
+    /// between external-loop windows).
     supervisor_checkpoint checkpoint() const;
 
     /// \brief Restore a checkpoint into this freshly constructed

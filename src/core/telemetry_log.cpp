@@ -166,7 +166,7 @@ void telemetry_log::log_window(std::uint64_t window_index,
     if constexpr (std::endian::native == std::endian::little) {
         // The wire format is little-endian u64s; on a little-endian
         // host the window's in-memory image already is that, and this
-        // runs per window on the pump thread.
+        // runs per window on the channel thread.
         sink.raw(words, nwords * sizeof(std::uint64_t));
     } else {
         for (std::size_t i = 0; i < nwords; ++i) {

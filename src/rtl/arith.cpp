@@ -27,13 +27,24 @@ resources multiplier::self_cost() const
                      .carry_bits = a_width_ + b_width_, .mux_levels = 0};
 }
 
-accumulator::accumulator(std::string name, unsigned width)
-    : component(std::move(name)), width_(width),
-      mask_((std::uint64_t{1} << width) - 1)
+namespace {
+
+/// Low `width` bits set, validated before the shift (a shift by 64 is
+/// undefined).
+std::uint64_t accumulator_mask(unsigned width)
 {
     if (width == 0 || width > 62) {
         throw std::invalid_argument("accumulator: width out of range");
     }
+    return (std::uint64_t{1} << width) - 1;
+}
+
+} // namespace
+
+accumulator::accumulator(std::string name, unsigned width)
+    : component(std::move(name)), width_(width),
+      mask_(accumulator_mask(width))
+{
 }
 
 void accumulator::accumulate(std::uint64_t addend)

@@ -4,14 +4,25 @@
 
 namespace otf::rtl {
 
-pattern_matcher::pattern_matcher(std::string name, unsigned width,
-                                 std::uint64_t pattern)
-    : component(std::move(name)), width_(width),
-      mask_((std::uint64_t{1} << width) - 1), pattern_(pattern & mask_)
+namespace {
+
+/// Low `width` bits set, validated before the shift (a shift by 64 is
+/// undefined).
+std::uint64_t pattern_mask(unsigned width)
 {
     if (width == 0 || width > 63) {
         throw std::invalid_argument("pattern width must be in [1, 63]");
     }
+    return (std::uint64_t{1} << width) - 1;
+}
+
+} // namespace
+
+pattern_matcher::pattern_matcher(std::string name, unsigned width,
+                                 std::uint64_t pattern)
+    : component(std::move(name)), width_(width), mask_(pattern_mask(width)),
+      pattern_(pattern & mask_)
+{
 }
 
 bool pattern_matcher::matches(std::uint64_t window) const

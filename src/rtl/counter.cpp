@@ -7,20 +7,31 @@ namespace otf::rtl {
 
 namespace {
 
-void check_width(unsigned width)
+/// 2^width, validated before the shift (a shift by 64 is undefined).
+std::uint64_t checked_modulus(unsigned width)
 {
     if (width == 0 || width > 63) {
         throw std::invalid_argument("counter width must be in [1, 63]");
     }
+    return std::uint64_t{1} << width;
+}
+
+/// 2^(width - 1), the half range of a two's-complement register,
+/// validated before the shift.
+std::int64_t checked_half_range(unsigned width)
+{
+    if (width < 2 || width > 63) {
+        throw std::invalid_argument("up/down counter width must be in [2, 63]");
+    }
+    return std::int64_t{1} << (width - 1);
 }
 
 } // namespace
 
 counter::counter(std::string name, unsigned width)
     : component(std::move(name)), width_(width),
-      modulus_(std::uint64_t{1} << width)
+      modulus_(checked_modulus(width))
 {
-    check_width(width);
 }
 
 void counter::step()
@@ -45,9 +56,8 @@ resources counter::self_cost() const
 
 saturating_counter::saturating_counter(std::string name, unsigned width)
     : component(std::move(name)), width_(width),
-      max_((std::uint64_t{1} << width) - 1)
+      max_(checked_modulus(width) - 1)
 {
-    check_width(width);
 }
 
 void saturating_counter::step()
@@ -75,12 +85,8 @@ resources saturating_counter::self_cost() const
 
 up_down_counter::up_down_counter(std::string name, unsigned width)
     : component(std::move(name)), width_(width),
-      min_(-(std::int64_t{1} << (width - 1))),
-      max_((std::int64_t{1} << (width - 1)) - 1)
+      min_(-checked_half_range(width)), max_(checked_half_range(width) - 1)
 {
-    if (width < 2 || width > 63) {
-        throw std::invalid_argument("up/down counter width must be in [2, 63]");
-    }
 }
 
 void up_down_counter::step(bool up)

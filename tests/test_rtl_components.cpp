@@ -9,6 +9,7 @@
 #include "rtl/shift_register.hpp"
 
 #include <gtest/gtest.h>
+#include <stdexcept>
 #include <string>
 
 namespace {
@@ -67,6 +68,12 @@ TEST(saturating_counter, sticks_at_maximum)
     EXPECT_TRUE(c.saturated());
 }
 
+TEST(saturating_counter, rejects_invalid_width)
+{
+    EXPECT_THROW(saturating_counter("c", 0), std::invalid_argument);
+    EXPECT_THROW(saturating_counter("c", 64), std::invalid_argument);
+}
+
 TEST(saturating_counter, costs_more_than_plain_counter)
 {
     counter plain("p", 8);
@@ -93,6 +100,13 @@ TEST(up_down_counter, range_matches_width)
     up_down_counter c("c", 4);
     EXPECT_EQ(c.min_representable(), -8);
     EXPECT_EQ(c.max_representable(), 7);
+}
+
+TEST(up_down_counter, rejects_invalid_width)
+{
+    EXPECT_THROW(up_down_counter("c", 0), std::invalid_argument);
+    EXPECT_THROW(up_down_counter("c", 1), std::invalid_argument);
+    EXPECT_THROW(up_down_counter("c", 64), std::invalid_argument);
 }
 
 TEST(max_tracker, keeps_maximum_only)
@@ -198,6 +212,12 @@ TEST(pattern_matcher, equality_against_constant)
     EXPECT_TRUE(m.matches(0b1111000000001 & 0x1FF));
 }
 
+TEST(pattern_matcher, rejects_invalid_width)
+{
+    EXPECT_THROW(pattern_matcher("m", 0, 0), std::invalid_argument);
+    EXPECT_THROW(pattern_matcher("m", 64, 0), std::invalid_argument);
+}
+
 TEST(magnitude_comparator, at_least_threshold)
 {
     magnitude_comparator c("c", 8, 100);
@@ -221,6 +241,13 @@ TEST(accumulator, accumulates_with_wrap_mask)
     EXPECT_EQ(a.value(), 44u) << "8-bit accumulator wraps mod 256";
     a.clear();
     EXPECT_EQ(a.value(), 0u);
+}
+
+TEST(accumulator, rejects_invalid_width)
+{
+    EXPECT_THROW(accumulator("a", 0), std::invalid_argument);
+    EXPECT_THROW(accumulator("a", 63), std::invalid_argument);
+    EXPECT_THROW(accumulator("a", 64), std::invalid_argument);
 }
 
 TEST(readout_mux, depth_is_log4_of_inputs)

@@ -1,14 +1,12 @@
-// Tests of the streaming ingestion core (core/stream.hpp): pipeline
-// verdicts register-exact with the batch loops across every paper design
-// and both ingestion lanes, monitor::run_stream continuous mode, the
-// producer's word-granular hook (scenario severity stepping), open-ended
-// and fixed-length end-of-stream behaviour, early sink stop, and the
-// stream telemetry snapshot.
-#include "base/ring_buffer.hpp"
+// Tests of the single-channel loop (core::run_windows), the one path every
+// fleet channel, population device, supervised run and scenario trial
+// takes: verdicts register-exact with a direct test_window loop across
+// every paper design and both ingestion lanes, the between-windows hook
+// (severity stepping, mid-stream re-framing), the evidence tap, early
+// sink stop, the dry-source error and the sub-word designs.
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
 #include "core/scenario.hpp"
-#include "core/stream.hpp"
 #include "trng/source_model.hpp"
 #include "trng/sources.hpp"
 
@@ -20,7 +18,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace {
@@ -54,170 +51,87 @@ void expect_same_report(const core::window_report& a,
     EXPECT_EQ(a.generation_cycles, b.generation_cycles) << context;
 }
 
-/// Run `windows` through the streaming pipeline and return the reports.
-std::vector<core::window_report> streamed_windows(
-    const hw::block_config& cfg, std::uint64_t seed,
-    std::uint64_t windows, core::ingest_lane lane)
+/// Sink that keeps every report.
+core::window_sink collect(std::vector<core::window_report>& out)
 {
-    core::monitor mon(cfg, 0.01);
-    trng::ideal_source src(seed);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    base::ring_buffer ring(2 * nwords);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon, lane);
-    std::vector<core::window_report> reports;
-    core::run_pipeline(producer, pump,
-                       [&](const core::window_report& wr) {
-                           reports.push_back(wr);
-                           return true;
-                       },
-                       windows);
-    return reports;
+    return [&out](const core::window_report& wr) {
+        out.push_back(wr);
+        return true;
+    };
+}
+
+hw::block_config tiny_design()
+{
+    hw::block_config tiny;
+    tiny.name = "tiny n=32";
+    tiny.log2_n = 5;
+    tiny.tests = hw::test_set{}
+                     .with(hw::test_id::frequency)
+                     .with(hw::test_id::cumulative_sums);
+    return tiny;
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline verdicts are register-exact with the per-bit batch loop (the
+// Verdicts are register-exact with the per-bit test_window loop (the
 // acceptance oracle): all eight paper designs, both ingestion lanes.
 // ---------------------------------------------------------------------------
 
-TEST(stream, pipeline_matches_batch_span_lane_all_designs)
+void check_against_test_window(core::ingest_lane lane, std::uint64_t seed)
 {
     for (const hw::block_config& cfg : core::all_paper_designs()) {
         const std::uint64_t windows = cfg.n() > 100000 ? 2 : 3;
-        core::monitor batch(cfg, 0.01);
-        trng::ideal_source batch_src(fixture_seed(21));
-        const auto streamed = streamed_windows(
-            cfg, fixture_seed(21), windows, core::ingest_lane::span);
-        ASSERT_EQ(streamed.size(), windows) << cfg.name;
+        core::monitor mon(cfg, 0.01);
+        trng::ideal_source src(seed);
+        std::vector<core::window_report> looped;
+        const std::uint64_t done = core::run_windows(
+            mon, src, windows, lane, collect(looped));
+        EXPECT_EQ(done, windows) << cfg.name;
+        ASSERT_EQ(looped.size(), windows) << cfg.name;
+
+        core::monitor direct(cfg, 0.01);
+        trng::ideal_source direct_src(seed);
         for (std::uint64_t w = 0; w < windows; ++w) {
-            const auto ref = batch.test_window(batch_src);
-            expect_same_report(ref, streamed[w],
-                               cfg.name + " window "
-                                   + std::to_string(w));
+            expect_same_report(direct.test_window(direct_src), looped[w],
+                               cfg.name + " window " + std::to_string(w));
         }
     }
 }
 
-TEST(stream, pipeline_matches_batch_per_bit_lane_all_designs)
+TEST(run_windows, matches_test_window_span_lane_all_designs)
 {
-    for (const hw::block_config& cfg : core::all_paper_designs()) {
-        const std::uint64_t windows = 2;
-        core::monitor batch(cfg, 0.01);
-        trng::ideal_source batch_src(fixture_seed(22));
-        const auto streamed = streamed_windows(
-            cfg, fixture_seed(22), windows, core::ingest_lane::per_bit);
-        ASSERT_EQ(streamed.size(), windows) << cfg.name;
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            const auto ref = batch.test_window(batch_src);
-            expect_same_report(ref, streamed[w],
-                               cfg.name + " window "
-                                   + std::to_string(w));
-        }
-    }
+    check_against_test_window(core::ingest_lane::span, fixture_seed(21));
+}
+
+TEST(run_windows, matches_test_window_per_bit_lane_all_designs)
+{
+    check_against_test_window(core::ingest_lane::per_bit, fixture_seed(22));
 }
 
 // ---------------------------------------------------------------------------
-// monitor::run_stream -- the continuous mode.
+// The between-windows hook: severity schedules and re-framing.
 // ---------------------------------------------------------------------------
 
-TEST(stream, run_stream_drains_a_prefilled_ring_single_threaded)
+TEST(run_windows, barrier_fires_once_per_window_with_the_window_index)
 {
-    // A ring that was filled and closed before the pump starts is the
-    // single-threaded degenerate pipeline: run_stream must drain it
-    // completely without any producer thread.
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    const std::uint64_t windows = 5;
-
-    trng::ideal_source src(fixture_seed(23));
-    const auto words = src.generate_words(windows * nwords);
-    base::ring_buffer ring(words.size());
-    ASSERT_EQ(ring.try_push(words.data(), words.size()), words.size());
-    ring.close();
-
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
     core::monitor mon(cfg, 0.01);
-    core::monitor batch(cfg, 0.01);
-    trng::ideal_source batch_src(fixture_seed(23));
-    std::uint64_t seen = 0;
-    const std::uint64_t done = mon.run_stream(
-        ring,
-        [&](const core::window_report& wr) {
-            expect_same_report(batch.test_window(batch_src), wr,
-                               "window " + std::to_string(seen));
-            ++seen;
-            return true;
-        });
-    EXPECT_EQ(done, windows);
-    EXPECT_EQ(seen, windows);
-    EXPECT_TRUE(ring.drained());
-}
-
-TEST(stream, run_stream_open_ended_stops_via_sink)
-{
-    // Open-ended supervision: no window count anywhere -- the producer
-    // streams forever and the *sink* ends the run (here: after an alarm
-    // fires), the platform's continuous-monitoring deployment shape.
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    core::monitor mon(cfg, 0.01);
-    core::windowed_alarm alarm(2, 8);
-    trng::stuck_source src(true); // fails every window
-    base::ring_buffer ring(2 * nwords);
-    core::word_producer producer(src, ring, {}); // total_words = 0
-    core::window_pump pump(ring, mon);
-    const std::uint64_t done = core::run_pipeline(
-        producer, pump,
-        [&](const core::window_report& wr) {
-            return !alarm.record(!wr.software.all_pass);
-        });
-    EXPECT_TRUE(alarm.alarm());
-    EXPECT_EQ(done, 2u); // second failed window trips the 2-of-8 policy
-    EXPECT_EQ(mon.windows_tested(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Producer hook: the scenario severity path, advanced at word
-// granularity yet bit-exact with per-window stepping.
-// ---------------------------------------------------------------------------
-
-TEST(stream, producer_hook_fires_at_stride_boundaries)
-{
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    const std::uint64_t windows = 4;
-
+    // A restored channel continues the global numbering; the hook sees
+    // the monitor's count, not a loop-local one.
+    mon.restore_window_count(10);
     trng::ideal_source src(fixture_seed(24));
-    base::ring_buffer ring(windows * nwords);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    opts.batch_words = 3; // ragged: batches would cross boundaries
-    opts.hook_stride_words = nwords;
-    std::vector<std::uint64_t> hook_words;
-    opts.word_hook = [&](std::uint64_t word) {
-        hook_words.push_back(word);
-    };
-    core::word_producer producer(src, ring, opts);
-    producer.run();
-    producer.rethrow_if_failed();
-
-    ASSERT_EQ(hook_words.size(), windows);
-    for (std::uint64_t w = 0; w < windows; ++w) {
-        EXPECT_EQ(hook_words[w], w * nwords)
-            << "hook must land exactly on the window-boundary word";
-    }
+    std::vector<std::uint64_t> indices;
+    core::run_windows(mon, src, 4, core::ingest_lane::span, nullptr,
+                      [&](std::uint64_t next_window) {
+                          indices.push_back(next_window);
+                      });
+    EXPECT_EQ(indices, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
-TEST(stream, streamed_severity_schedule_is_bit_exact_with_batch)
+TEST(run_windows, severity_schedule_steps_on_the_same_windows_as_batch)
 {
-    // Reference: the pre-pipeline scenario trial loop -- set severity per
-    // window, then generate-and-test that window.  Streamed: the
-    // schedule rides the producer's word hook.  Verdicts must match
-    // exactly, window by window.
+    // Reference: set the severity per window, then generate-and-test
+    // that window bit by bit.  Looped: the schedule rides the barrier.
+    // Verdicts must match exactly, window by window.
     const hw::block_config cfg =
         core::custom_design(12, hw::test_set{}
                                     .with(hw::test_id::frequency)
@@ -225,12 +139,10 @@ TEST(stream, streamed_severity_schedule_is_bit_exact_with_batch)
                                     .with(hw::test_id::runs)
                                     .with(hw::test_id::longest_run)
                                     .with(hw::test_id::cumulative_sums));
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
     const std::uint64_t windows = 12;
-    core::severity_schedule schedule{
+    const core::severity_schedule schedule{
         core::severity_schedule::shape::ramp, 1.0, 4, 6, 0};
 
-    // Batch reference.
     core::monitor batch(cfg, 0.01);
     trng::rtn_source batch_model(
         std::make_unique<trng::ideal_source>(fixture_seed(25)),
@@ -241,243 +153,27 @@ TEST(stream, streamed_severity_schedule_is_bit_exact_with_batch)
         ref.push_back(batch.test_window(batch_model));
     }
 
-    // Streamed with the word hook.
     core::monitor mon(cfg, 0.01);
     trng::rtn_source model(
         std::make_unique<trng::ideal_source>(fixture_seed(25)),
         fixture_seed(26));
-    base::ring_buffer ring(2 * nwords);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    opts.hook_stride_words = nwords;
-    opts.word_hook = [&](std::uint64_t word) {
-        model.set_severity(schedule.severity_at(word / nwords));
-    };
-    core::word_producer producer(model, ring, opts);
-    core::window_pump pump(ring, mon);
-    std::vector<core::window_report> streamed;
-    core::run_pipeline(producer, pump,
-                       [&](const core::window_report& wr) {
-                           streamed.push_back(wr);
-                           return true;
-                       },
-                       windows);
+    std::vector<core::window_report> looped;
+    core::run_windows(mon, model, windows, core::ingest_lane::span,
+                      collect(looped), [&](std::uint64_t window) {
+                          model.set_severity(schedule.severity_at(window));
+                      });
 
-    ASSERT_EQ(streamed.size(), ref.size());
+    ASSERT_EQ(looped.size(), ref.size());
     for (std::uint64_t w = 0; w < windows; ++w) {
-        expect_same_report(ref[w], streamed[w],
+        expect_same_report(ref[w], looped[w],
                            "window " + std::to_string(w));
     }
 }
 
-// ---------------------------------------------------------------------------
-// End-of-stream behaviour.
-// ---------------------------------------------------------------------------
-
-TEST(stream, open_ended_replay_closes_gracefully_with_leftover)
-{
-    // A finite trace in open-ended mode is not an error: the producer
-    // closes after the last full word and the pump counts the partial
-    // trailing window as leftover.
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    const std::uint64_t full_windows = 3;
-    // 3 windows + 1 stray word + 7 stray bits.
-    trng::ideal_source gen(fixture_seed(27));
-    trng::replay_source src(
-        gen.generate(full_windows * cfg.n() + 64 + 7));
-
-    core::monitor mon(cfg, 0.01);
-    base::ring_buffer ring(2 * nwords);
-    core::word_producer producer(src, ring, {}); // open-ended
-    core::window_pump pump(ring, mon);
-    const std::uint64_t done =
-        core::run_pipeline(producer, pump, nullptr);
-    EXPECT_EQ(done, full_windows);
-    EXPECT_EQ(pump.leftover_words(), 1u);
-    EXPECT_EQ(producer.words_produced(), full_windows * nwords + 1);
-    EXPECT_FALSE(producer.failed());
-}
-
-TEST(stream, fixed_total_throws_when_the_source_runs_dry)
-{
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    trng::ideal_source gen(fixture_seed(28));
-    trng::replay_source src(gen.generate(cfg.n())); // one window only
-
-    core::monitor mon(cfg, 0.01);
-    base::ring_buffer ring(2 * nwords);
-    core::producer_options opts;
-    opts.total_words = 3 * nwords; // asks for three
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon);
-    try {
-        core::run_pipeline(producer, pump, nullptr, 3);
-        FAIL() << "expected the dry source to surface as an error";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("replay"), std::string::npos) << what;
-        EXPECT_NE(what.find("ran dry"), std::string::npos) << what;
-    }
-    // The windows that were fully buffered before the starvation were
-    // still analysed -- data already generated is never thrown away.
-    EXPECT_EQ(mon.windows_tested(), 1u);
-}
-
-TEST(stream, telemetry_snapshot_counts_the_words)
-{
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = static_cast<std::size_t>(cfg.n() / 64);
-    const std::uint64_t windows = 6;
-    core::monitor mon(cfg, 0.01);
-    trng::ideal_source src(fixture_seed(29));
-    base::ring_buffer ring(2 * nwords);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon);
-    core::run_pipeline(producer, pump, nullptr, windows);
-
-    const core::stream_stats stats = core::snapshot(ring);
-    EXPECT_EQ(stats.words, windows * nwords);
-    EXPECT_EQ(stats.ring_capacity, ring.capacity());
-    EXPECT_GE(stats.max_occupancy, 1u);
-    EXPECT_LE(stats.max_occupancy, stats.ring_capacity);
-}
-
-// ---------------------------------------------------------------------------
-// Window tap (evidence capture) and the mid-stream reconfiguration
-// barrier (core/supervisor.hpp builds on both).
-// ---------------------------------------------------------------------------
-
-TEST(stream, tap_sees_exactly_the_raw_window_words)
-{
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = 2; // 128-bit windows
-    const std::uint64_t windows = 6;
-
-    core::monitor mon(cfg, 0.01);
-    trng::ideal_source src(fixture_seed(21));
-    base::ring_buffer ring(2 * nwords);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon);
-    std::vector<std::uint64_t> tapped;
-    std::vector<std::uint64_t> tap_indexes;
-    pump.set_tap([&](std::uint64_t index, const std::uint64_t* words,
-                     std::size_t n) {
-        tap_indexes.push_back(index);
-        tapped.insert(tapped.end(), words, words + n);
-    });
-    core::run_pipeline(producer, pump, nullptr, windows);
-
-    // The tap must have seen the producer's exact word stream, window by
-    // window, before testing.
-    trng::ideal_source replay(fixture_seed(21));
-    const std::vector<std::uint64_t> expected =
-        replay.generate_words(windows * nwords);
-    EXPECT_EQ(tapped, expected);
-    EXPECT_EQ(tap_indexes,
-              (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(stream, untapped_pump_takes_the_zero_copy_path)
-{
-    // Without a tap every window should be fed straight from ring
-    // storage (peek/consume), and the verdicts must match a tapped run
-    // of the same stream, which takes the assemble-copy path.
-    const hw::block_config cfg =
-        core::paper_design(7, core::tier::light);
-    const std::size_t nwords = 2;
-    const std::uint64_t windows = 8;
-
-    const auto run = [&](bool tapped) {
-        core::monitor mon(cfg, 0.01);
-        trng::ideal_source src(fixture_seed(24));
-        base::ring_buffer ring(2 * nwords);
-        core::producer_options opts;
-        opts.total_words = windows * nwords;
-        core::word_producer producer(src, ring, opts);
-        core::window_pump pump(ring, mon);
-        if (tapped) {
-            pump.set_tap([](std::uint64_t, const std::uint64_t*,
-                            std::size_t) {});
-        }
-        std::vector<core::window_report> reports;
-        core::run_pipeline(producer, pump,
-                           [&](const core::window_report& wr) {
-                               reports.push_back(wr);
-                               return true;
-                           },
-                           windows);
-        return std::make_pair(pump.zero_copy_windows(),
-                              std::move(reports));
-    };
-
-    const auto [zc_untapped, direct] = run(false);
-    const auto [zc_tapped, copied] = run(true);
-
-    EXPECT_EQ(zc_untapped, windows)
-        << "every untapped window must be fed from ring storage";
-    EXPECT_EQ(zc_tapped, 0u)
-        << "the tap contract (contiguous window) forces the copy path";
-    ASSERT_EQ(direct.size(), copied.size());
-    for (std::uint64_t w = 0; w < windows; ++w) {
-        expect_same_report(direct[w], copied[w],
-                           "window " + std::to_string(w));
-    }
-}
-
-TEST(stream, zero_copy_survives_windows_larger_than_the_ring_span)
-{
-    // A window of 8 words over a ring of 4 forces every window through
-    // multiple peek/consume rounds (spans clip at the buffer end); the
-    // partial window must persist as block state between rounds.
-    const hw::block_config cfg = core::custom_design(
-        9, hw::test_set{}
-               .with(hw::test_id::frequency)
-               .with(hw::test_id::runs)); // 512-bit windows, 8 words
-    const std::size_t nwords = 8;
-    const std::uint64_t windows = 5;
-
-    core::monitor mon(cfg, 0.01);
-    trng::ideal_source src(fixture_seed(25));
-    base::ring_buffer ring(nwords / 2);
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    opts.batch_words = 2;
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon);
-    std::vector<core::window_report> reports;
-    core::run_pipeline(producer, pump,
-                       [&](const core::window_report& wr) {
-                           reports.push_back(wr);
-                           return true;
-                       },
-                       windows);
-
-    EXPECT_EQ(pump.zero_copy_windows(), windows);
-    ASSERT_EQ(reports.size(), windows);
-    // Register-exact with the batch loop over the same stream.
-    core::monitor batch(cfg, 0.01);
-    trng::ideal_source replay(fixture_seed(25));
-    for (std::uint64_t w = 0; w < windows; ++w) {
-        const auto ref = batch.test_window(replay);
-        expect_same_report(ref, reports[w],
-                           "window " + std::to_string(w));
-    }
-}
-
-TEST(stream, barrier_reconfigures_mid_stream_without_dropping_words)
+TEST(run_windows, barrier_reframes_to_a_longer_window_without_dropping)
 {
     // 20 words: two 128-bit windows at design A, then the barrier
-    // reprograms the live block to the 4x-longer design B and the pump
+    // reprograms the live block to the 4x-longer design B and the loop
     // re-frames -- the remaining 16 words become two 512-bit windows.
     const hw::block_config design_a =
         core::paper_design(7, core::tier::light);
@@ -489,32 +185,34 @@ TEST(stream, barrier_reconfigures_mid_stream_without_dropping_words)
 
     core::monitor mon(design_a, 0.01);
     trng::ideal_source src(fixture_seed(22));
-    base::ring_buffer ring(16);
-    core::producer_options opts;
-    opts.total_words = 20;
-    core::word_producer producer(src, ring, opts);
-    core::window_pump pump(ring, mon);
-    pump.set_barrier([&](std::uint64_t next_window) {
-        if (next_window == 2) {
-            mon.reconfigure(design_b, 0.01);
-        }
-    });
     std::vector<core::window_report> reports;
-    const std::uint64_t pumped = core::run_pipeline(
-        producer, pump,
-        [&](const core::window_report& wr) {
-            reports.push_back(wr);
-            return true;
+    std::vector<std::uint64_t> tapped;
+    const std::uint64_t done = core::run_windows(
+        mon, src, 4, core::ingest_lane::span, collect(reports),
+        [&](std::uint64_t next_window) {
+            if (next_window == 2) {
+                mon.reconfigure(design_b, 0.01);
+            }
         },
-        0);
+        [&](std::uint64_t, const std::uint64_t* words, std::size_t n) {
+            tapped.insert(tapped.end(), words, words + n);
+        });
+    ASSERT_EQ(done, 4u);
+    ASSERT_EQ(reports.size(), 4u);
 
-    ASSERT_EQ(pumped, 4u);
-    EXPECT_EQ(pump.leftover_words(), 0u) << "no word may be dropped";
+    // Exactly 20 words were drawn, in order: the tap saw them all and
+    // the source continues at word 20.
+    trng::ideal_source replay(fixture_seed(22));
+    const std::vector<std::uint64_t> words = replay.generate_words(21);
+    EXPECT_EQ(tapped,
+              std::vector<std::uint64_t>(words.begin(), words.begin() + 20))
+        << "no word may be dropped or duplicated";
+    std::uint64_t next = 0;
+    src.fill_words(&next, 1);
+    EXPECT_EQ(next, words[20]) << "the loop must not generate ahead";
 
     // Register-exactness of the split: fresh monitors fed the same word
     // stream must reproduce every verdict.
-    trng::ideal_source replay(fixture_seed(22));
-    const std::vector<std::uint64_t> words = replay.generate_words(20);
     core::monitor fresh_a(design_a, 0.01);
     core::monitor fresh_b(design_b, 0.01);
     const auto window_of = [&](core::monitor& m, std::size_t from,
@@ -533,6 +231,135 @@ TEST(stream, barrier_reconfigures_mid_stream_without_dropping_words)
                        "B window 2");
     expect_same_report(reports[3], window_of(fresh_b, 12, 8, 3),
                        "B window 3");
+}
+
+// ---------------------------------------------------------------------------
+// Evidence tap.
+// ---------------------------------------------------------------------------
+
+TEST(run_windows, tap_sees_exactly_the_tested_window)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    const std::size_t nwords = 2; // 128-bit windows
+    const std::uint64_t windows = 6;
+
+    core::monitor mon(cfg, 0.01);
+    trng::ideal_source src(fixture_seed(21));
+    std::vector<std::uint64_t> tap_indexes;
+    std::vector<core::window_report> from_tap;
+    core::monitor shadow(cfg, 0.01);
+    std::vector<core::window_report> looped;
+    core::run_windows(
+        mon, src, windows, core::ingest_lane::span, collect(looped),
+        nullptr,
+        [&](std::uint64_t index, const std::uint64_t* words,
+            std::size_t n) {
+            tap_indexes.push_back(index);
+            ASSERT_EQ(n, nwords);
+            // Testing the tapped words must give the looped verdict.
+            from_tap.push_back(shadow.test_packed(words, n));
+        });
+
+    EXPECT_EQ(tap_indexes, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+    ASSERT_EQ(from_tap.size(), looped.size());
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        expect_same_report(from_tap[w], looped[w],
+                           "window " + std::to_string(w));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// End of the loop: early sink stop and the dry source.
+// ---------------------------------------------------------------------------
+
+TEST(run_windows, sink_stops_the_loop_early)
+{
+    // The sink ends the run (here: once the alarm fires) well before the
+    // window cap -- the continuous-monitoring deployment shape.
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    core::monitor mon(cfg, 0.01);
+    core::windowed_alarm alarm(2, 8);
+    trng::stuck_source src(true); // fails every window
+    const std::uint64_t done = core::run_windows(
+        mon, src, 100, core::ingest_lane::span,
+        [&](const core::window_report& wr) {
+            return !alarm.record(!wr.software.all_pass);
+        });
+    EXPECT_TRUE(alarm.alarm());
+    EXPECT_EQ(done, 2u); // second failed window trips the 2-of-8 policy
+    EXPECT_EQ(mon.windows_tested(), 2u);
+}
+
+TEST(run_windows, throws_naming_the_source_when_it_runs_dry)
+{
+    const hw::block_config cfg = core::paper_design(7, core::tier::light);
+    trng::ideal_source gen(fixture_seed(28));
+    trng::replay_source src(gen.generate(cfg.n())); // one window only
+
+    core::monitor mon(cfg, 0.01);
+    try {
+        core::run_windows(mon, src, 3, core::ingest_lane::span, nullptr);
+        FAIL() << "expected the dry source to surface as an error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("replay"), std::string::npos) << what;
+        EXPECT_NE(what.find("ran dry after 1 of 3 windows"),
+                  std::string::npos)
+            << what;
+    }
+    // The window the source could supply was still tested.
+    EXPECT_EQ(mon.windows_tested(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Sub-word designs (n < 64): per-bit only.
+// ---------------------------------------------------------------------------
+
+TEST(run_windows, sub_word_designs_run_bit_by_bit_on_the_per_bit_lane)
+{
+    const hw::block_config tiny = tiny_design();
+    const std::uint64_t windows = 5;
+    core::monitor mon(tiny, 0.01);
+    trng::ideal_source src(fixture_seed(29));
+    std::vector<core::window_report> looped;
+    std::vector<std::uint64_t> hooks;
+    bool tapped = false;
+    core::run_windows(
+        mon, src, windows, core::ingest_lane::per_bit, collect(looped),
+        [&](std::uint64_t w) { hooks.push_back(w); },
+        [&](std::uint64_t, const std::uint64_t*, std::size_t) {
+            tapped = true;
+        });
+    EXPECT_EQ(hooks, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+    EXPECT_FALSE(tapped) << "a sub-word window has no packed words";
+
+    core::monitor direct(tiny, 0.01);
+    trng::ideal_source direct_src(fixture_seed(29));
+    ASSERT_EQ(looped.size(), windows);
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        expect_same_report(direct.test_window(direct_src), looped[w],
+                           "window " + std::to_string(w));
+    }
+}
+
+TEST(run_windows, sub_word_designs_fail_with_the_length_error_when_packed)
+{
+    for (const core::ingest_lane lane :
+         {core::ingest_lane::span, core::ingest_lane::sliced}) {
+        core::monitor mon(tiny_design(), 0.01);
+        trng::ideal_source src(fixture_seed(30));
+        try {
+            core::run_windows(mon, src, 1, lane, nullptr);
+            FAIL() << "a packed lane must reject a sub-word design";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("word buffer must hold exactly the "
+                                "design's n (32 bits"),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(mon.windows_tested(), 0u);
+    }
 }
 
 } // namespace

@@ -3,9 +3,7 @@
 // bounding, mixed-length window accounting, determinism and the JSON
 // event log.
 #include "base/json.hpp"
-#include "base/ring_buffer.hpp"
 #include "core/design_config.hpp"
-#include "core/stream.hpp"
 #include "core/supervisor.hpp"
 #include "trng/entropy_source.hpp"
 #include "trng/sources.hpp"
@@ -213,8 +211,8 @@ TEST(supervisor, evidence_ring_is_bounded)
 TEST(supervisor, escalation_to_longer_windows_reframes_the_stream)
 {
     // The heavy design has 4x the baseline window: after escalation the
-    // pump must assemble 512-bit windows from the same word stream
-    // without losing a word.
+    // loop must frame 512-bit windows from the same word stream without
+    // losing a word.
     core::supervisor_config cfg = small_config();
     cfg.escalated = core::custom_design(
         9, hw::test_set{}
@@ -235,6 +233,41 @@ TEST(supervisor, escalation_to_longer_windows_reframes_the_stream)
               baseline_windows * 128u + rep.windows_escalated * 512u)
         << "mixed-length windows must account bit-exactly";
     EXPECT_EQ(sup.inner().config().n(), 512u);
+}
+
+TEST(supervisor, window_hook_sees_true_indices_across_a_longer_escalation)
+{
+    // The per-window hook counts real windows, before the barrier acts.
+    // A word-granular hook stepping at word / baseline-words would run
+    // 4x fast once the block escalates to the 4x longer window.
+    core::supervisor_config cfg = small_config();
+    cfg.escalated = core::custom_design(
+        9, hw::test_set{}
+               .with(hw::test_id::frequency)
+               .with(hw::test_id::runs)
+               .with(hw::test_id::cumulative_sums));
+    cfg.dwell_windows = 1000;
+    core::supervisor sup(cfg);
+
+    trng::biased_source bad(11, 0.9);
+    std::vector<std::uint64_t> seen;
+    std::vector<supervision_state> state_at_hook;
+    const auto rep = sup.run(bad, 20, [&](std::uint64_t next_window) {
+        seen.push_back(next_window);
+        state_at_hook.push_back(sup.state());
+    });
+
+    ASSERT_EQ(rep.escalations, 1u);
+    ASSERT_GT(rep.windows_escalated, 4u);
+    ASSERT_EQ(seen.size(), 20u);
+    for (std::uint64_t w = 0; w < seen.size(); ++w) {
+        EXPECT_EQ(seen[w], w) << "hook call " << w;
+    }
+    const std::uint64_t first = rep.first_escalation_window;
+    ASSERT_LT(first, seen.size());
+    EXPECT_EQ(state_at_hook[first], supervision_state::baseline)
+        << "the hook runs before the barrier reprograms the block";
+    EXPECT_EQ(state_at_hook.back(), supervision_state::escalated);
 }
 
 TEST(supervisor, deterministic_for_a_fixed_seed)
@@ -307,26 +340,20 @@ TEST(supervisor, event_log_serializes_as_json)
 // ---------------------------------------------------------------------
 
 /// Drive `sup` for exactly `windows` windows from `source` through the
-/// external pipeline, producing exactly the words those windows need --
-/// so the source's position afterwards is the precise window boundary
-/// and a later segment continues the very same stream.
+/// channel loop with the supervisor's external adapters.  The loop
+/// generates exactly the words those windows need, so the source's
+/// position afterwards is the precise window boundary and a later
+/// segment continues the very same stream.
 void drive(core::supervisor& sup, trng::entropy_source& source,
            std::uint64_t windows)
 {
-    const std::size_t nwords = sup.inner().config().n() / 64;
-    base::ring_buffer ring(core::default_ring_words(nwords));
-    core::producer_options opts;
-    opts.total_words = windows * nwords;
-    core::word_producer producer(source, ring, opts);
-    core::window_pump pump(ring, sup.inner());
-    pump.set_tap(sup.tap());
-    pump.set_barrier(sup.barrier());
-    core::run_pipeline(producer, pump, sup.sink(), windows);
+    core::run_windows(sup.inner(), source, windows, sup.config().lane,
+                      sup.sink(), sup.barrier(), sup.tap());
 }
 
 /// Everything a continuation must reproduce -- counters, verdict state
-/// and the full event timeline with bitwise P-values (stream/timing
-/// telemetry excluded: wall clock is not state).
+/// and the full event timeline with bitwise P-values (timing telemetry
+/// excluded: wall clock is not state).
 void expect_report_eq(const core::supervision_report& a,
                       const core::supervision_report& b)
 {
@@ -484,9 +511,9 @@ TEST(supervisor, dwell_counter_rides_every_event)
     EXPECT_NE(json.str().find("\"dwell\""), std::string::npos);
 }
 
-TEST(supervisor, external_pipeline_adapters_match_run)
+TEST(supervisor, external_loop_adapters_match_run)
 {
-    // Driving the hooks from an external pump (the fleet's channel loop
+    // Driving the hooks from an external channel loop (the fleet's
     // shape) must produce the same verdict/event stream as run().
     core::supervisor_config cfg = small_config();
     core::supervisor inline_sup(cfg);
@@ -495,13 +522,8 @@ TEST(supervisor, external_pipeline_adapters_match_run)
 
     core::supervisor external(cfg);
     burst_source b(31, 2 * 128, 8 * 128);
-    base::ring_buffer ring(core::default_ring_words(8));
-    core::producer_options opts; // open-ended
-    core::word_producer producer(b, ring, opts);
-    core::window_pump pump(ring, external.inner());
-    pump.set_tap(external.tap());
-    pump.set_barrier(external.barrier());
-    core::run_pipeline(producer, pump, external.sink(), 20);
+    core::run_windows(external.inner(), b, 20, cfg.lane, external.sink(),
+                      external.barrier(), external.tap());
     const auto via_hooks = external.report();
 
     EXPECT_EQ(via_hooks.windows, via_run.windows);
