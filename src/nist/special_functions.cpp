@@ -1,5 +1,6 @@
 #include "nist/special_functions.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -99,16 +100,24 @@ double erfc_inv(double p)
 
 namespace {
 
-constexpr int max_iterations = 500;
 constexpr double epsilon = 1e-15;
 constexpr double tiny = std::numeric_limits<double>::min() / epsilon;
+
+// Both expansions below need O(sqrt(a)) terms when x is near a (the series
+// terms shrink like exp(-n^2 / 2a)), so a fixed cap truncates them for large
+// a.  10 sqrt(a) terms reach epsilon; the cap bounds the work at a ~ 1e12.
+long max_iterations(double a)
+{
+    return 500 + static_cast<long>(10.0 * std::sqrt(std::min(a, 1e12)));
+}
 
 // Lower incomplete gamma by power series: P(a, x) * Gamma(a) * e^x * x^-a.
 double igam_series(double a, double x)
 {
     double sum = 1.0 / a;
     double term = sum;
-    for (int n = 1; n < max_iterations; ++n) {
+    const long limit = max_iterations(a);
+    for (long n = 1; n < limit; ++n) {
         term *= x / (a + n);
         sum += term;
         if (std::fabs(term) < std::fabs(sum) * epsilon) {
@@ -126,7 +135,8 @@ double igamc_continued_fraction(double a, double x)
     double c = 1.0 / tiny;
     double d = 1.0 / b;
     double h = d;
-    for (int i = 1; i < max_iterations; ++i) {
+    const long limit = max_iterations(a);
+    for (long i = 1; i < limit; ++i) {
         const double an = -static_cast<double>(i) * (i - a);
         b += 2.0;
         d = an * d + b;
@@ -213,7 +223,8 @@ double igamc_inv(double a, double q)
         } else {
             hi = mid;
         }
-        if (hi - lo < 1e-13 * (1.0 + hi)) {
+        // Relative width, so roots far below 1 (q near 1) resolve too.
+        if (hi - lo < 1e-13 * hi) {
             break;
         }
     }

@@ -31,15 +31,21 @@ double log_gamma(double x);
 
 /// Regularized upper incomplete gamma function Q(a, x) = Γ(a, x) / Γ(a),
 /// for a > 0, x >= 0.  Series expansion for x < a + 1, Lentz continued
-/// fraction otherwise (double precision, ~1e-14 relative accuracy).
+/// fraction otherwise, each run to convergence (O(sqrt(a)) terms near
+/// x = a).  Absolute error is about 1e-15 for the small a of the tests; the
+/// a*ln(x) - x - lnΓ(a) prefix cancels as a grows (~5e-12 at a = 1e4,
+/// ~1e-9 at a = 1e6).  The series branch returns 1 - P, so a tiny Q there
+/// is accurate in absolute terms only.
 double igamc(double a, double x);
 
 /// Regularized lower incomplete gamma function P(a, x) = 1 - Q(a, x).
 double igam(double a, double x);
 
 /// Inverse of igamc in x: returns x such that igamc(a, x) == q, q in (0, 1).
-/// Bracketing bisection refined by Newton steps; used to turn a level of
+/// Bracketing bisection to a relative width of 1e-13, so roots far below 1
+/// (q near 1) resolve as well as large ones; used to turn a level of
 /// significance into a chi-squared critical value.
+/// \throws std::domain_error unless 0 < q < 1 (NaN included) and a > 0
 double igamc_inv(double a, double q);
 
 /// Upper critical value of the chi-squared distribution with `dof` degrees

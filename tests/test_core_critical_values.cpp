@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 namespace {
 
@@ -154,6 +155,47 @@ TEST(critical_values, rejects_nonsense_alpha)
                  std::invalid_argument);
     EXPECT_THROW(compute_critical_values(cfg_high, 0.7),
                  std::invalid_argument);
+}
+
+TEST(critical_values, smallest_design_at_extreme_alpha)
+{
+    // n = 128, the smallest paper design, at alpha = 1e-6 and just below
+    // the 0.5 ceiling: every bound of the enabled tests must exist, stay
+    // inside what a 128-bit window can reach, and widen monotonically as
+    // alpha shrinks.
+    for (const core::tier t : {core::tier::light, core::tier::medium}) {
+        const auto cfg = core::paper_design(7, t);
+        const auto strict = compute_critical_values(cfg, 1e-6);
+        const auto mid = compute_critical_values(cfg, 0.01);
+        const auto loose = compute_critical_values(cfg, 0.49);
+        for (const auto* cv : {&strict, &mid, &loose}) {
+            EXPECT_GT(cv->t1_max_deviation, 0) << cfg.name;
+            EXPECT_LE(cv->t1_max_deviation, 128) << cfg.name;
+            EXPECT_GT(cv->t2_sum_bound, 0) << cfg.name;
+            EXPECT_GT(cv->t13_z_bound, 0) << cfg.name;
+            EXPECT_LE(cv->t13_z_bound, 128) << cfg.name;
+        }
+        EXPECT_GE(strict.t1_max_deviation, mid.t1_max_deviation);
+        EXPECT_GE(mid.t1_max_deviation, loose.t1_max_deviation);
+        EXPECT_GT(strict.t1_max_deviation, loose.t1_max_deviation);
+        EXPECT_GT(strict.t2_sum_bound, mid.t2_sum_bound);
+        EXPECT_GT(mid.t2_sum_bound, loose.t2_sum_bound);
+        EXPECT_GE(strict.t13_z_bound, mid.t13_z_bound);
+        EXPECT_GE(mid.t13_z_bound, loose.t13_z_bound);
+        EXPECT_GT(strict.t13_z_bound, loose.t13_z_bound);
+        if (t == core::tier::medium) {
+            EXPECT_GT(strict.t11_del1_bound, mid.t11_del1_bound);
+            EXPECT_GT(mid.t11_del1_bound, loose.t11_del1_bound);
+            EXPECT_LT(strict.t12_apen_min_q16, mid.t12_apen_min_q16);
+            EXPECT_LT(mid.t12_apen_min_q16, loose.t12_apen_min_q16);
+        }
+        // alpha = 0.5 is outside the open interval the inversion accepts.
+        EXPECT_THROW(compute_critical_values(cfg, 0.5), std::invalid_argument)
+            << cfg.name;
+        EXPECT_THROW(compute_critical_values(cfg, -1e-6),
+                     std::invalid_argument)
+            << cfg.name;
+    }
 }
 
 TEST(critical_values, nist_alpha_range_is_supported)

@@ -1,9 +1,10 @@
 // Tests of the six extended NIST tests (the paper's future-work coverage
 // of the remaining suite): GF(2) rank against exhaustive enumeration,
-// FFT against a direct DFT, Berlekamp-Massey against known LFSRs, the
-// universal statistic against the SP 800-22 worked example, excursion
-// probabilities against their closed forms, and defect-detection
-// properties for each test.
+// FFT (radix-2 and Bluestein) against a direct DFT at every length up to
+// 300 and at odd lengths up to 4095, Berlekamp-Massey against known
+// LFSRs, the universal statistic against the SP 800-22 worked example,
+// excursion probabilities against their closed forms, and
+// defect-detection properties for each test.
 #include "base/json.hpp"
 #include "nist/battery.hpp"
 #include "nist/extended_tests.hpp"
@@ -11,6 +12,7 @@
 #include "nist/gf2.hpp"
 #include "trng/sources.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -90,32 +92,93 @@ TEST(matrix_rank_test, rank_deficient_stream_fails)
 }
 
 // -------------------------------------------------------------------- FFT --
-TEST(fft, matches_direct_dft)
+/// Direct O(n^2) DFT magnitudes of the first floor(n/2) bins: the oracle for
+/// both the radix-2 and the Bluestein path.  The twiddle index j*i is
+/// reduced mod n exactly, so each angle is computed from a small integer and
+/// the table costs one cos/sin pair per residue.
+std::vector<double> direct_dft_magnitudes(const std::vector<double>& x)
 {
-    trng::ideal_source src(5);
-    std::vector<double> x(64);
-    for (auto& v : x) {
-        v = src.next_bit() ? 1.0 : -1.0;
+    const std::size_t n = x.size();
+    std::vector<double> cos_table(n);
+    std::vector<double> sin_table(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        const double angle =
+            -2.0 * M_PI * static_cast<double>(r) / static_cast<double>(n);
+        cos_table[r] = std::cos(angle);
+        sin_table[r] = std::sin(angle);
     }
-    // Power-of-two path (FFT).
-    const auto fast = dft_magnitudes(x);
-    // Force the direct path by appending one sample of a 65-length copy.
-    std::vector<double> y(x.begin(), x.end());
-    y.push_back(1.0);
-    const auto direct = dft_magnitudes(y);
-    // Compare the FFT against an independent direct computation at n=64.
-    for (std::size_t j = 0; j < fast.size(); ++j) {
+    std::vector<double> magnitudes(n / 2);
+    for (std::size_t j = 0; j < n / 2; ++j) {
         double re = 0.0;
         double im = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            const double a = -2.0 * M_PI * static_cast<double>(j)
-                * static_cast<double>(i) / 64.0;
-            re += x[i] * std::cos(a);
-            im += x[i] * std::sin(a);
+        std::size_t r = 0; // j * i mod n
+        for (std::size_t i = 0; i < n; ++i) {
+            re += x[i] * cos_table[r];
+            im += x[i] * sin_table[r];
+            r += j;
+            if (r >= n) {
+                r -= n;
+            }
         }
-        EXPECT_NEAR(fast[j], std::hypot(re, im), 1e-9) << "bin " << j;
+        magnitudes[j] = std::hypot(re, im);
     }
-    EXPECT_EQ(direct.size(), 32u);
+    return magnitudes;
+}
+
+/// Check dft_magnitudes and dft_test against the oracle on random +-1
+/// input of length n.
+void expect_matches_direct_dft(std::size_t n, std::uint64_t seed)
+{
+    trng::ideal_source src(seed);
+    const bit_sequence bits = src.generate(n);
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = bits[i] ? 1.0 : -1.0;
+    }
+    const std::vector<double> fast = dft_magnitudes(x);
+    const std::vector<double> direct = direct_dft_magnitudes(x);
+    ASSERT_EQ(fast.size(), direct.size()) << "n=" << n;
+    const double tolerance = 1e-9 * std::sqrt(static_cast<double>(n));
+    for (std::size_t j = 0; j < direct.size(); ++j) {
+        ASSERT_NEAR(fast[j], direct[j], tolerance)
+            << "n=" << n << " bin " << j;
+    }
+    // The peak count is what the test consumes: exact agreement.
+    const double threshold =
+        std::sqrt(static_cast<double>(n) * std::log(1.0 / 0.05));
+    const auto below =
+        std::count_if(direct.begin(), direct.end(),
+                      [&](double magnitude) { return magnitude < threshold; });
+    EXPECT_EQ(dft_test(bits).n1, static_cast<double>(below)) << "n=" << n;
+}
+
+TEST(fft, matches_direct_dft_at_every_small_length)
+{
+    // Powers of two take the radix-2 path, everything else Bluestein.
+    for (std::size_t n = 2; n <= 300; ++n) {
+        expect_matches_direct_dft(n, 5 + n);
+    }
+}
+
+TEST(fft, matches_direct_dft_on_population_evidence_lengths)
+{
+    // The supervisor's evidence ring holds 1..8 windows of n = 128.
+    for (std::size_t k = 1; k <= 8; ++k) {
+        expect_matches_direct_dft(128 * k, 1000 + k);
+    }
+}
+
+TEST(fft, matches_direct_dft_at_odd_and_prime_lengths)
+{
+    for (const std::size_t n : {1021u, 2047u, 3000u, 4093u, 4095u}) {
+        expect_matches_direct_dft(n, 2000 + n);
+    }
+}
+
+TEST(fft, empty_and_single_sample_inputs)
+{
+    EXPECT_TRUE(dft_magnitudes({}).empty());
+    EXPECT_TRUE(dft_magnitudes({1.0}).empty());
 }
 
 TEST(fft, rejects_non_power_of_two)

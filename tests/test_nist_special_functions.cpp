@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 namespace {
 
@@ -95,6 +96,115 @@ TEST(igamc_inv, round_trips)
     }
 }
 
+// Edge cases.  Reference values are 40-digit evaluations of the
+// regularized upper incomplete gamma function (mpmath gammainc).
+
+TEST(igamc, vanishing_x_gives_one)
+{
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    for (const double a : {0.5, 1.0, 3.0, 64.0}) {
+        EXPECT_EQ(igamc(a, denorm), 1.0) << "a=" << a;
+        EXPECT_EQ(igamc(a, 1e-300), 1.0) << "a=" << a;
+        EXPECT_GE(igam(a, denorm), 0.0) << "a=" << a;
+        EXPECT_LT(igam(a, denorm), 1e-150) << "a=" << a;
+    }
+    // Q(1, x) = exp(-x) stays exact as x -> 0+.
+    EXPECT_NEAR(igamc(1.0, 1e-10), std::exp(-1e-10), 1e-16);
+}
+
+TEST(igamc, tiny_a)
+{
+    // Q(a, x) ~ a E1(x) as a -> 0+.  On the continued-fraction branch the
+    // result keeps its relative accuracy down to a = 1e-300.
+    EXPECT_NEAR(igamc(1e-300, 1.0) / 2.1938393439552027368e-301, 1.0, 1e-12);
+    EXPECT_NEAR(igamc(1e-10, 2.0) / 4.8900510715699742339e-12, 1.0, 1e-9);
+    // On the series branch it is 1 - P: absolute accuracy only.
+    EXPECT_NEAR(igamc(1e-10, 1.0), 2.1938393441796777775e-11, 1e-14);
+    EXPECT_NEAR(igamc(1e-10, 1e-10), 2.2448635240024109438e-9, 1e-14);
+    EXPECT_NEAR(igamc(1e-3, 1e-3), 0.0063123532911397097934, 1e-14);
+}
+
+TEST(igamc, large_a_runs_expansions_to_convergence)
+{
+    // Near x = a both expansions need O(sqrt(a)) terms; stopping them at
+    // a fixed count gives values far off (0.809 for Q(1e6, 1e6)).
+    EXPECT_NEAR(igamc(2048.0, 2048.0), 0.49706150462322004196, 1e-12);
+    EXPECT_NEAR(igamc(1e4, 1e4), 0.49867019166004479962, 1e-11);
+    EXPECT_NEAR(igamc(1e6, 1e6), 0.49986701923912740876, 1e-9);
+    EXPECT_NEAR(igamc(1e6, 997000.0), 0.99866189583268640031, 1e-9);
+    EXPECT_NEAR(igamc(1e6, 1003000.0), 0.0013617406462175914794, 1e-9);
+    // Far tail underflows to exactly zero, never negative.
+    EXPECT_EQ(igamc(2.0, 800.0), 0.0);
+    EXPECT_EQ(igamc(1e4, 1e5), 0.0);
+}
+
+TEST(igamc, monotone_in_x_and_a_at_large_a)
+{
+    const double a = 1e6;
+    double previous = 1.0;
+    for (double x = a - 5000.0; x <= a + 5000.0; x += 250.0) {
+        const double q = igamc(a, x);
+        EXPECT_LT(q, previous) << "x=" << x;
+        EXPECT_GE(q, 0.0);
+        previous = q;
+    }
+    // Q(a, x) increases with a at fixed x.
+    previous = 0.0;
+    for (double s = 1e6 - 5000.0; s <= 1e6 + 5000.0; s += 250.0) {
+        const double q = igamc(s, 1e6);
+        EXPECT_GT(q, previous) << "a=" << s;
+        previous = q;
+    }
+}
+
+TEST(igamc_inv, q_near_zero)
+{
+    for (const double a : {0.5, 1.0, 4.0, 1000.0}) {
+        for (const double q : {1e-300, 1e-100, 1e-15}) {
+            const double x = igamc_inv(a, q);
+            EXPECT_NEAR(igamc(a, x) / q, 1.0, 1e-9) << "a=" << a << " q=" << q;
+        }
+    }
+    // Q(1, x) = exp(-x): the root is -ln q.
+    EXPECT_NEAR(igamc_inv(1.0, 1e-300), 300.0 * std::log(10.0), 1e-10);
+}
+
+TEST(igamc_inv, q_near_one)
+{
+    // The roots sit far below 1, so the bisection must stop on a relative
+    // width.  With d = 1 - q (exact in double), Q(1, x) = exp(-x) and
+    // Q(0.5, x) = erfc(sqrt(x)) put them at -ln q and, since erf(z) ~
+    // 2z/sqrt(pi) for tiny z, at pi/4 * d^2.  Q itself is a double next to
+    // 1, so it pins x only to about ulp(1) / d ~ 1e-4 relative; a stop on
+    // an absolute width of 1e-13 would miss the a = 0.5 root 5e10-fold.
+    const double q = 1.0 - 1e-12;
+    const double d = 1.0 - q;
+    EXPECT_NEAR(igamc_inv(1.0, q) / -std::log(q), 1.0, 1e-3);
+    EXPECT_NEAR(igamc_inv(0.5, q) / (M_PI / 4.0 * d * d), 1.0, 1e-3);
+    for (const double a : {0.5, 1.0, 4.0, 1000.0}) {
+        for (const double q : {0.999, 1.0 - 1e-9, 1.0 - 1e-12}) {
+            const double x = igamc_inv(a, q);
+            EXPECT_GT(x, 0.0);
+            EXPECT_NEAR(igamc(a, x), q, 1e-14) << "a=" << a << " q=" << q;
+        }
+    }
+}
+
+TEST(igamc_inv, monotone_decreasing_in_q)
+{
+    for (const double a : {0.5, 4.0, 1e6}) {
+        double previous = std::numeric_limits<double>::infinity();
+        for (const double q : {1e-12, 1e-6, 0.001, 0.01, 0.3, 0.5, 0.9,
+                               1.0 - 1e-9}) {
+            const double x = igamc_inv(a, q);
+            EXPECT_LT(x, previous) << "a=" << a << " q=" << q;
+            previous = x;
+        }
+    }
+    // Large a: the median sits at a - 1/3.
+    EXPECT_NEAR(igamc_inv(1e6, 0.5), 999999.66666668641976, 1e-5);
+}
+
 TEST(chi_squared_critical, matches_tables)
 {
     // Chi-squared upper critical values (standard statistical tables).
@@ -118,6 +228,27 @@ TEST(special_functions, domain_guards)
     EXPECT_THROW(igamc_inv(1.0, 0.0), std::domain_error);
     EXPECT_THROW(igamc_inv(1.0, 1.0), std::domain_error);
     EXPECT_THROW(normal_quantile(0.0), std::domain_error);
+}
+
+TEST(special_functions, incomplete_gamma_domain_errors)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double a : {0.0, -0.0, -1e-300, -1.0, -inf}) {
+        EXPECT_THROW(igamc(a, 1.0), std::domain_error) << "a=" << a;
+        EXPECT_THROW(igam(a, 1.0), std::domain_error) << "a=" << a;
+        EXPECT_THROW(igamc_inv(a, 0.5), std::domain_error) << "a=" << a;
+    }
+    for (const double x : {-1e-300, -1.0, -inf}) {
+        EXPECT_THROW(igamc(1.0, x), std::domain_error) << "x=" << x;
+        EXPECT_THROW(igam(1.0, x), std::domain_error) << "x=" << x;
+    }
+    for (const double q : {0.0, 1.0, -0.1, 1.5, nan}) {
+        EXPECT_THROW(igamc_inv(1.0, q), std::domain_error) << "q=" << q;
+        EXPECT_THROW(chi_squared_critical(2.0, q), std::domain_error)
+            << "alpha=" << q;
+    }
+    EXPECT_THROW(chi_squared_critical(0.0, 0.01), std::domain_error);
 }
 
 } // namespace

@@ -57,7 +57,8 @@ core::supervision_report run_scenario(const core::scenario& sc,
                                       const core::supervisor_config& cfg,
                                       const core::critical_values& cv_base,
                                       const core::critical_values& cv_esc,
-                                      core::telemetry_log* log)
+                                      core::telemetry_log* log,
+                                      std::uint64_t windows = kWindows)
 {
     std::unique_ptr<trng::entropy_source> source =
         std::make_unique<trng::ideal_source>(otf::test::kCanonicalSeed);
@@ -70,11 +71,11 @@ core::supervision_report run_scenario(const core::scenario& sc,
         auto stacked =
             sc.make_model(std::move(source), otf::test::fixture_seed(11));
         trng::source_model* model = stacked.get();
-        return sup.run(*stacked, kWindows, [&](std::uint64_t window) {
+        return sup.run(*stacked, windows, [&](std::uint64_t window) {
             model->set_severity(sc.schedule.severity_at(window));
         });
     }
-    return sup.run(*source, kWindows);
+    return sup.run(*source, windows);
 }
 
 std::string temp_log(const std::string& tag)
@@ -85,9 +86,11 @@ std::string temp_log(const std::string& tag)
 /// Live run + read-back + replay for one scenario and capture policy;
 /// returns the recovered run for extra assertions.
 core::telemetry_run check_scenario(const core::scenario& sc,
-                                   bool log_windows)
+                                   bool log_windows,
+                                   const core::supervisor_config& cfg
+                                   = make_config(),
+                                   std::uint64_t windows = kWindows)
 {
-    const core::supervisor_config cfg = make_config();
     const core::critical_values cv_base =
         core::compute_critical_values(cfg.baseline, cfg.alpha);
     const core::critical_values cv_esc =
@@ -103,7 +106,7 @@ core::telemetry_run check_scenario(const core::scenario& sc,
         tcfg.queue_capacity = 4096;
         tcfg.log_windows = log_windows;
         core::telemetry_log log(tcfg);
-        live = run_scenario(sc, cfg, cv_base, cv_esc, &log);
+        live = run_scenario(sc, cfg, cv_base, cv_esc, &log, windows);
         log.close();
         dropped = log.records_dropped();
     }
@@ -194,6 +197,35 @@ TEST(Replay, TransitionsOnlyCaptureStaysBitIdentical)
         }
     }
     EXPECT_GE(confirmations, 1u);
+}
+
+TEST(Replay, NonPowerOfTwoEvidenceBitIdentical)
+{
+    // The population's case: n=128 light escalating to n=128 medium with a
+    // three-window ring, so every confirmation runs the battery on 384
+    // bits -- not a power of two, so the spectral test takes the Bluestein
+    // path.  Replay must still re-derive each verdict bit-identically.
+    core::supervisor_config cfg = make_config();
+    cfg.baseline = core::paper_design(7, core::tier::light);
+    cfg.escalated = core::paper_design(7, core::tier::medium);
+    cfg.alpha = 0.01;
+    cfg.fail_threshold = 2;
+    cfg.evidence_windows = 3;
+    cfg.dwell_windows = 16;
+    unsigned confirmations = 0;
+    for (const core::scenario& sc : core::standard_scenarios(kOnset, kRamp)) {
+        const core::telemetry_run run =
+            check_scenario(sc, true, cfg, 4 * kWindows);
+        for (const core::supervision_event& ev : run.events) {
+            if (ev.kind != core::supervision_event_kind::confirmed) {
+                continue;
+            }
+            ASSERT_TRUE(ev.confirmation.has_value()) << sc.name;
+            EXPECT_EQ(ev.confirmation->evidence_bits, 384u) << sc.name;
+            ++confirmations;
+        }
+    }
+    EXPECT_GE(confirmations, 3u);
 }
 
 // ---------------------------------------------------------------------
