@@ -9,9 +9,9 @@
 //
 // `otf::bits` holds the portable kernel primitives behind the span ingestion
 // lane (engine::consume_span) and the bit-sliced fleet lane
-// (hw::sliced_block): span popcount, transition counting, the SWAR +/-1
-// walk summary that replaces the cusum byte table, and the 64x64 bit-matrix
-// transpose.  Every primitive is runtime-dispatched through a process-wide
+// (hw::sliced_block): span and bit-range popcount, transition counting,
+// the SWAR +/-1 walk summary behind the cusum kernel, and the 64x64
+// bit-matrix transpose.  Every primitive is runtime-dispatched through a process-wide
 // kernel_variant so the differential test harness can pin each variant
 // against the per-bit oracle and the benches can report a per-variant axis.
 #pragma once
@@ -102,9 +102,9 @@ public:
         return v;
     }
 
-    /// Pack the sequence into 64-bit words for the word-at-a-time fast
-    /// lane: bit i of word j is bit 64*j + i of the sequence (LSB-first
-    /// stream order, the convention of engine::consume_word).  Bits past
+    /// Pack the sequence into 64-bit words for the span fast lane: bit i
+    /// of word j is bit 64*j + i of the sequence (LSB-first stream order,
+    /// the convention of engine::consume_span).  Bits past
     /// the end of a partial final word are zero.
     std::vector<std::uint64_t> to_words() const
     {
@@ -307,6 +307,27 @@ inline std::uint64_t span_popcount(const std::uint64_t* words,
     return total;
 }
 
+/// \brief Ones in bits [first, first + nbits) of a packed span (nbits
+/// >= 1).  A range inside one word is one masked popcount; a word-aligned
+/// `first` goes straight to span_popcount; otherwise a partial head word
+/// precedes the span_popcount.  Block-bounded span kernels thus use one
+/// segment loop for aligned whole-word blocks and for sub-word blocks at
+/// any offset.
+inline std::uint64_t range_popcount(const std::uint64_t* words,
+                                    std::size_t first, std::size_t nbits)
+{
+    words += first / 64;
+    const unsigned off = static_cast<unsigned>(first % 64);
+    if (off + nbits <= 64) {
+        return prefix_popcount(words[0] >> off, static_cast<unsigned>(nbits));
+    }
+    if (off == 0) {
+        return span_popcount(words, nbits);
+    }
+    return prefix_popcount(words[0] >> off, 64 - off)
+        + span_popcount(words + 1, nbits - (64 - off));
+}
+
 /// \brief Adjacent-bit transitions inside a full-word span: transitions
 /// within each word plus the seams between consecutive words (the runs
 /// test's shifted-XOR popcount, batched over the whole span).
@@ -346,7 +367,7 @@ inline std::uint64_t span_transitions(const std::uint64_t* words,
 /// up, 0 down; bits taken LSB-first): total displacement and the extreme
 /// prefix sums after 1..64 steps.  Combining summaries left to right
 /// reproduces the exact per-bit max/min trajectory -- the cusum span
-/// kernel's building block, without the 256-entry byte table.
+/// kernel's building block.
 struct walk_summary {
     int delta;
     int max_prefix;

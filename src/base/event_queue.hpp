@@ -174,6 +174,17 @@ public:
     {
         return max_occupancy_.load(std::memory_order_relaxed);
     }
+    /// Occupancy a push that left the tail at `tail_after` records, given
+    /// a head read after it.  0 once consumers have drained past that push
+    /// (other producers pushed, and consumers popped, since it landed):
+    /// the plain difference would wrap to ~2^64.
+    static std::size_t occupancy_sample(std::uint64_t tail_after,
+                                        std::uint64_t head)
+    {
+        return head >= tail_after
+                   ? 0
+                   : static_cast<std::size_t>(tail_after - head);
+    }
 
 private:
     struct cell {
@@ -183,9 +194,8 @@ private:
 
     void note_occupancy(std::uint64_t tail_after)
     {
-        const std::uint64_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t occ =
-            static_cast<std::size_t>(tail_after - head);
+        const std::size_t occ = occupancy_sample(
+            tail_after, head_.load(std::memory_order_relaxed));
         std::size_t seen = max_occupancy_.load(std::memory_order_relaxed);
         while (occ > seen
                && !max_occupancy_.compare_exchange_weak(

@@ -13,9 +13,8 @@
 #include "hw/register_map.hpp"
 #include "rtl/component.hpp"
 
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 namespace otf::hw {
 
@@ -32,83 +31,30 @@ public:
     ///        bits, not a private counter)
     virtual void consume(bool bit, std::uint64_t bit_index) = 0;
 
-    /// \brief Word-at-a-time step: consume up to 64 stream bits at once.
-    /// Must leave the engine in exactly the state that `nbits` consume()
-    /// calls would -- the per-bit path is the equivalence oracle,
-    /// enforced by tests/test_word_path.cpp.  The default simply loops
-    /// consume(); engines override it with popcount / table / run-scan
-    /// batching.  consume_span() falls back to it for sub-word blocks and
-    /// unaligned spans.
-    ///
-    /// Engines that watch the testing block's *shared* template window
-    /// must return true from watches_shared_window() AND override this,
-    /// reconstructing the sliding window locally from its pre-word state:
-    /// the block advances the shared register after dispatching a span
-    /// to the engines, not once per bit -- so the per-bit default below
-    /// would read a stale window.  The default enforces that contract by
-    /// refusing to run for such engines (loudly, instead of silently
-    /// producing wrong counters).
-    /// \param word      stream bits packed LSB-first (bit i of `word` is
-    ///                  stream bit `bit_index + i`)
-    /// \param nbits     number of valid bits in `word`, 1..64
-    /// \param bit_index global bit counter value at the word's first bit
-    virtual void consume_word(std::uint64_t word, unsigned nbits,
-                              std::uint64_t bit_index)
-    {
-        if (watches_shared_window()) {
-            throw std::logic_error(
-                "engine '" + name()
-                + "' watches the shared template window and must override "
-                  "consume_word() (the per-bit default would read a stale "
-                  "window)");
-        }
-        for (unsigned i = 0; i < nbits; ++i) {
-            consume(((word >> i) & 1u) != 0, bit_index + i);
-        }
-    }
-
     /// \brief Bulk-span fast lane: consume a whole packed span at once.
     /// Must leave the engine in exactly the state that `nbits` consume()
-    /// calls would -- same oracle contract as consume_word(), enforced by
-    /// tests/test_kernel_oracle.cpp.  The default walks the span one word
-    /// at a time through consume_word(); engines override it with
-    /// whole-span kernels (popcount accumulation, match masks, the SWAR
-    /// walk) that hoist state into locals and commit once per span.
+    /// calls would -- the per-bit path is the equivalence oracle, enforced
+    /// by tests/test_kernel_oracle.cpp and tests/test_word_path.cpp.
+    /// Engines implement it with whole-span kernels (popcount
+    /// accumulation, match masks, the SWAR walk) that hoist state into
+    /// locals and commit once per span.
     ///
-    /// Overrides may assume nothing about alignment: `bit_index` can fall
-    /// anywhere (odd-length chunking), and kernels that need word-aligned
-    /// block boundaries must fall back to the per-word path otherwise.
+    /// Kernels may assume nothing about length or alignment: `nbits` can
+    /// be any length, and `bit_index` can fall anywhere
+    /// (odd-length chunking), including inside a block shorter than a
+    /// word.
+    ///
+    /// Engines that read the testing block's *shared* template window
+    /// (sharing trick 4) must reconstruct it locally from its pre-span
+    /// state: the block advances the shared register once per span,
+    /// after dispatching the span to every engine.  Keeping this pure
+    /// makes "bring your own span kernel" a compile-time requirement.
     /// \param words     stream bits packed LSB-first: bit i of words[i/64]
     ///                  is stream bit `bit_index + i`
     /// \param nbits     number of valid bits in the span
     /// \param bit_index global bit counter value at the span's first bit
     virtual void consume_span(const std::uint64_t* words, std::size_t nbits,
-                              std::uint64_t bit_index)
-    {
-        if (watches_shared_window()) {
-            // On the span lane the shared register advances once per
-            // *span*, so even an engine-provided consume_word override
-            // would read a stale window after the first word.
-            throw std::logic_error(
-                "engine '" + name()
-                + "' watches the shared template window and must override "
-                  "consume_span() (the word-looping default would read a "
-                  "stale window beyond the first word)");
-        }
-        std::size_t done = 0;
-        while (done < nbits) {
-            const unsigned take = nbits - done < 64
-                ? static_cast<unsigned>(nbits - done)
-                : 64u;
-            consume_word(words[done / 64], take, bit_index + done);
-            done += take;
-        }
-    }
-
-    /// \brief True for engines that read the testing block's shared
-    /// template shift register during consume() (sharing trick 4).
-    /// Paired with the consume_word() contract above.
-    virtual bool watches_shared_window() const { return false; }
+                              std::uint64_t bit_index) = 0;
 
     /// \brief Cyclic-extension flush cycle, fed with the stored opening
     /// bits of the sequence after the real stream has ended.  Only the

@@ -1,5 +1,7 @@
 #include "hw/longest_run_hw.hpp"
 
+#include "base/bits.hpp"
+
 #include <bit>
 #include <stdexcept>
 
@@ -33,6 +35,15 @@ longest_run_hw::longest_run_hw(unsigned log2_n, unsigned log2_m,
     }
 }
 
+unsigned longest_run_hw::category_of(std::int64_t longest) const
+{
+    const auto v = static_cast<unsigned>(longest);
+    if (v <= v_lo_) {
+        return 0;
+    }
+    return v >= v_hi_ ? v_hi_ - v_lo_ : v - v_lo_;
+}
+
 void longest_run_hw::consume(bool bit, std::uint64_t bit_index)
 {
     if (bit) {
@@ -43,37 +54,34 @@ void longest_run_hw::consume(bool bit, std::uint64_t bit_index)
     }
     const bool block_end = (bit_index & block_mask_) == block_mask_;
     if (block_end) {
-        const auto longest =
-            static_cast<unsigned>(block_max_.value());
-        unsigned category;
-        if (longest <= v_lo_) {
-            category = 0;
-        } else if (longest >= v_hi_) {
-            category = v_hi_ - v_lo_;
-        } else {
-            category = longest - v_lo_;
-        }
-        categories_[category]->step();
+        categories_[category_of(block_max_.value())]->step();
         run_length_.clear();
         block_max_.clear();
     }
 }
 
-void longest_run_hw::consume_word(std::uint64_t word, unsigned nbits,
-                                  std::uint64_t bit_index)
+void longest_run_hw::consume_span(const std::uint64_t* words,
+                                  std::size_t nbits, std::uint64_t bit_index)
 {
-    unsigned done = 0;
+    // Segments end at a block boundary, a word boundary or the span end,
+    // whichever comes first; with M >= 64 on an aligned span that is one
+    // whole word per segment.
+    const std::uint64_t run_sat = run_length_.max_value();
+    std::uint64_t run = run_length_.value();
+    std::int64_t bmax = block_max_.value();
+    std::size_t done = 0;
     while (done < nbits) {
+        const unsigned off = static_cast<unsigned>(done % 64);
         const std::uint64_t pos_in_block = (bit_index + done) & block_mask_;
         const std::uint64_t to_boundary = (block_mask_ + 1) - pos_in_block;
-        const unsigned take = to_boundary < nbits - done
-            ? static_cast<unsigned>(to_boundary)
+        const std::uint64_t limit = to_boundary < nbits - done
+            ? to_boundary
             : nbits - done;
-        const std::uint64_t seg = (word >> done)
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-
-        const auto carried = run_length_.value();
+        const unsigned take = limit < 64 - off
+            ? static_cast<unsigned>(limit)
+            : 64 - off;
+        const std::uint64_t seg = (words[done / 64] >> off)
+            & bits::low_mask(take);
         const unsigned lead =
             static_cast<unsigned>(std::countr_one(seg)) < take
             ? static_cast<unsigned>(std::countr_one(seg))
@@ -82,76 +90,11 @@ void longest_run_hw::consume_word(std::uint64_t word, unsigned nbits,
         std::uint64_t run_out;
         if (lead == take) {
             // All ones: the carried run extends across the whole segment.
-            seg_max = carried + take;
+            seg_max = run + take;
             run_out = seg_max;
         } else {
             // Longest interior run of ones via the shift-AND scan; random
             // segments terminate in a handful of iterations.
-            std::uint64_t y = seg;
-            unsigned interior = 0;
-            while (y != 0) {
-                ++interior;
-                y &= y << 1;
-            }
-            const std::uint64_t head = carried + lead;
-            seg_max = head > interior ? head : interior;
-            run_out = static_cast<unsigned>(
-                std::countl_one(seg << (64 - take)));
-        }
-        if (seg_max > 0) {
-            block_max_.observe(static_cast<std::int64_t>(seg_max));
-        }
-        run_length_.clear();
-        run_length_.advance(run_out);
-
-        if (pos_in_block + take == block_mask_ + 1) {
-            const auto longest = static_cast<unsigned>(block_max_.value());
-            unsigned category;
-            if (longest <= v_lo_) {
-                category = 0;
-            } else if (longest >= v_hi_) {
-                category = v_hi_ - v_lo_;
-            } else {
-                category = longest - v_lo_;
-            }
-            categories_[category]->step();
-            run_length_.clear();
-            block_max_.clear();
-        }
-        done += take;
-    }
-}
-
-void longest_run_hw::consume_span(const std::uint64_t* words,
-                                  std::size_t nbits, std::uint64_t bit_index)
-{
-    // The hoisted-state loop needs word-aligned block boundaries; sub-word
-    // blocks (M < 64) and unaligned spans use the per-word path.
-    if (log2_m_ < 6 || bit_index % 64 != 0) {
-        engine::consume_span(words, nbits, bit_index);
-        return;
-    }
-    const std::uint64_t run_sat = run_length_.max_value();
-    std::uint64_t run = run_length_.value();
-    std::int64_t bmax = block_max_.value();
-    std::size_t done = 0;
-    while (done < nbits) {
-        const unsigned take = nbits - done < 64
-            ? static_cast<unsigned>(nbits - done)
-            : 64u;
-        const std::uint64_t seg = words[done / 64]
-            & (take == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << take) - 1);
-        const unsigned lead =
-            static_cast<unsigned>(std::countr_one(seg)) < take
-            ? static_cast<unsigned>(std::countr_one(seg))
-            : take;
-        std::uint64_t seg_max;
-        std::uint64_t run_out;
-        if (lead == take) {
-            seg_max = run + take;
-            run_out = seg_max;
-        } else {
             std::uint64_t y = seg;
             unsigned interior = 0;
             while (y != 0) {
@@ -168,17 +111,8 @@ void longest_run_hw::consume_span(const std::uint64_t* words,
         }
         run = run_out < run_sat ? run_out : run_sat;
 
-        if (((bit_index + done) & block_mask_) + take == block_mask_ + 1) {
-            const auto longest = static_cast<unsigned>(bmax);
-            unsigned category;
-            if (longest <= v_lo_) {
-                category = 0;
-            } else if (longest >= v_hi_) {
-                category = v_hi_ - v_lo_;
-            } else {
-                category = longest - v_lo_;
-            }
-            categories_[category]->step();
+        if (pos_in_block + take == block_mask_ + 1) {
+            categories_[category_of(bmax)]->step();
             run = 0;
             bmax = 0;
         }

@@ -41,13 +41,6 @@ public:
                        rtl::shift_register& window);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched scan: reconstructs the sliding window locally from
-    /// the shared register's pre-word state (the block advances the
-    /// shared register once per word on the fast lane) and accumulates
-    /// matches with the same inhibit/boundary decisions as the per-bit
-    /// path.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: one AND-combined match mask per word flags
     /// every window position equal to the template; non-overlapped
     /// matches are picked greedily from the mask with count-trailing
@@ -55,7 +48,6 @@ public:
     /// (the block shifts the shared register once per span on this lane).
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
-    bool watches_shared_window() const override { return true; }
     void add_registers(register_map& map) const override;
 
     unsigned block_count() const { return block_count_; }
@@ -94,17 +86,11 @@ public:
                    rtl::shift_register& window);
 
     void consume(bool bit, std::uint64_t bit_index) override;
-    /// \brief Batched scan against the locally reconstructed shared
-    /// window (see non_overlapping_hw::consume_word), with the saturating
-    /// per-block match count accumulated in a local and committed once.
-    void consume_word(std::uint64_t word, unsigned nbits,
-                      std::uint64_t bit_index) override;
     /// \brief Span kernel: overlapping matches per word are the popcount
     /// of the match mask (see non_overlapping_hw::consume_span), clamped
     /// by the saturating block counter.
     void consume_span(const std::uint64_t* words, std::size_t nbits,
                       std::uint64_t bit_index) override;
-    bool watches_shared_window() const override { return true; }
     void add_registers(register_map& map) const override;
 
     unsigned category_count() const

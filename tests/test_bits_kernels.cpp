@@ -126,19 +126,31 @@ TEST(bits_kernels, prefix_popcount_matches_naive_for_every_k)
 // ---------------------------------------------------------------------------
 // span_popcount: every ragged length from empty through several words
 // (covers the SIMD block, the 4-word SWAR block, the word loop and the
-// masked tail in one sweep).
+// masked tail in one sweep).  range_popcount runs the same lengths from
+// aligned, mid-word and last-bit starts (single-word, aligned and
+// head-plus-span cases).
 // ---------------------------------------------------------------------------
 
 TEST(bits_kernels, span_popcount_matches_naive_on_ragged_lengths)
 {
     variant_guard guard;
-    const auto words = random_words(fixture_seed(1), 12);
+    const auto words = random_words(fixture_seed(1), 14);
     for (const bits::kernel_variant v : kAllVariants) {
         bits::set_kernel_variant(v);
         for (std::size_t nbits = 0; nbits <= 64 * 11 + 1; ++nbits) {
             ASSERT_EQ(bits::span_popcount(words.data(), nbits),
                       naive_popcount(words, nbits))
                 << variant_name(v) << " nbits=" << nbits;
+            if (nbits == 0) {
+                continue;
+            }
+            for (const std::size_t first : {0, 1, 31, 63, 64, 65, 127}) {
+                ASSERT_EQ(bits::range_popcount(words.data(), first, nbits),
+                          naive_popcount(words, first + nbits)
+                              - naive_popcount(words, first))
+                    << variant_name(v) << " first=" << first
+                    << " nbits=" << nbits;
+            }
         }
     }
 }

@@ -132,6 +132,20 @@ TEST(event_queue, minimum_capacity_survives_contention)
     consumer.join();
     EXPECT_EQ(sum, 2 * kEach * (kEach + 1) / 2);
     EXPECT_EQ(q.total_popped(), 2 * kEach);
+    EXPECT_LE(q.max_occupancy(), q.capacity());
+}
+
+TEST(event_queue, occupancy_sample_never_wraps)
+{
+    // A producer samples the head after its push lands; under contention
+    // consumers may already have popped past that push.  Such a sample
+    // must read as empty, not as tail - head wrapped to ~2^64 (which
+    // multi-producer runs used to record as max_occupancy now and then).
+    using queue = event_queue<event>;
+    EXPECT_EQ(queue::occupancy_sample(10, 7), 3u);
+    EXPECT_EQ(queue::occupancy_sample(10, 10), 0u);
+    EXPECT_EQ(queue::occupancy_sample(10, 11), 0u);
+    EXPECT_EQ(queue::occupancy_sample(10, 1000), 0u);
 }
 
 TEST(event_queue, multi_producer_preserves_per_producer_order)

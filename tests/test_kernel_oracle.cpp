@@ -1,6 +1,7 @@
 // Differential kernel-oracle harness: the per-bit lane is the ground
-// truth, and every fast lane -- word, span (under each kernel variant)
-// and the bit-sliced fleet lane -- must reproduce it register-exactly.
+// truth, and every fast lane -- span (under each kernel variant, on whole
+// windows and ragged chunks) and the bit-sliced fleet lane -- must
+// reproduce it register-exactly.
 //
 // The span kernels (base/bits.hpp) are runtime-dispatched through a
 // process-wide kernel_variant; this suite pins each variant (reference,
@@ -155,6 +156,48 @@ TEST_P(kernel_oracle_designs, span_lane_matches_per_bit_for_every_variant)
         cfg, alternating_sequence(cfg.n()), cfg.name + " alternating");
 }
 
+// ---------------------------------------------------------------------------
+// Chunked spans: ragged chunk lengths land every chunk seam at a
+// different bit offset, exercising the kernels' unaligned entry and
+// tail-word masking against the same oracle.  On the n=128 designs the
+// chunks are capped at n/4 bits and four windows run, so the seams also
+// fall inside sub-word blocks (block-frequency M=32, longest-run M=8).
+// ---------------------------------------------------------------------------
+
+TEST_P(kernel_oracle_designs,
+       ragged_span_chunks_match_per_bit_for_every_variant)
+{
+    const hw::block_config cfg = GetParam();
+    const std::uint64_t max_chunk = cfg.n() / 4 < 131 ? cfg.n() / 4 : 131;
+    variant_guard guard;
+    for (unsigned window = 0; window < 4; ++window) {
+        const bit_sequence seq =
+            random_sequence(fixture_seed(40 + window), cfg.n());
+        hw::testing_block oracle(cfg);
+        oracle.run(seq);
+        for (const bits::kernel_variant v : kAllVariants) {
+            bits::set_kernel_variant(v);
+            hw::testing_block fast(cfg);
+            trng::xoshiro256ss chunk_rng(fixture_seed(60 + window));
+            std::size_t pos = 0;
+            while (pos < seq.size()) {
+                std::size_t take = 1 + chunk_rng.next() % max_chunk;
+                if (take > seq.size() - pos) {
+                    take = seq.size() - pos;
+                }
+                const auto chunk = pack_range(seq, pos, take);
+                fast.feed_span(chunk.data(), take);
+                pos += take;
+            }
+            fast.finish();
+            expect_identical_registers(
+                oracle, fast,
+                cfg.name + " window " + std::to_string(window)
+                    + " ragged span [" + variant_name(v) + "]");
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     all_paper_designs, kernel_oracle_designs,
     ::testing::ValuesIn(core::all_paper_designs()),
@@ -229,41 +272,6 @@ TEST(kernel_oracle, single_flip_at_every_word_offset_matches_per_bit)
         seq.set(flip, true);
         expect_span_matches_oracle(cfg, seq,
                                    "flip at " + std::to_string(flip));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked spans: ragged chunk lengths land every chunk seam at a
-// different bit offset, exercising the kernels' unaligned entry and
-// tail-word masking against the same oracle.
-// ---------------------------------------------------------------------------
-
-TEST(kernel_oracle, ragged_span_chunks_match_per_bit_for_every_variant)
-{
-    const hw::block_config cfg = paper_design(16, tier::high);
-    const bit_sequence seq = random_sequence(fixture_seed(40), cfg.n());
-    hw::testing_block oracle(cfg);
-    oracle.run(seq);
-
-    variant_guard guard;
-    for (const bits::kernel_variant v : kAllVariants) {
-        bits::set_kernel_variant(v);
-        hw::testing_block fast(cfg);
-        trng::xoshiro256ss chunk_rng(fixture_seed(41));
-        std::size_t pos = 0;
-        while (pos < seq.size()) {
-            std::size_t take = 1 + chunk_rng.next() % 131;
-            if (take > seq.size() - pos) {
-                take = seq.size() - pos;
-            }
-            const auto chunk = pack_range(seq, pos, take);
-            fast.feed_span(chunk.data(), take);
-            pos += take;
-        }
-        fast.finish();
-        expect_identical_registers(
-            oracle, fast,
-            std::string("ragged span [") + variant_name(v) + "]");
     }
 }
 

@@ -138,6 +138,27 @@ TEST(igamc, large_a_runs_expansions_to_convergence)
     EXPECT_EQ(igamc(1e4, 1e5), 0.0);
 }
 
+TEST(igamc, large_a_prefix_keeps_full_precision)
+{
+    // The prefix log(x^a e^-x / Gamma(a)) cancels terms of size a ln a;
+    // formed directly it is off by 7e-10 at a = 1e6 and 2e-8 at a = 1e8,
+    // which moves Q by up to 1e-8 and the inverse by up to 3e-3.
+    // References: 40-digit mpmath gammainc.
+    EXPECT_NEAR(igamc(1e6, 1e6), 0.49986701923912740876, 1e-12);
+    EXPECT_NEAR(igamc(1e6, 999000.0), 0.84134478642569634754, 1e-12);
+    EXPECT_NEAR(igamc(1e6, 1002000.0), 0.022804095898769862758, 1e-12);
+    EXPECT_NEAR(igamc(1e8, 1e8), 0.49998670192398588013, 2e-12);
+    EXPECT_NEAR(igamc(1e8, 99990000.0), 0.84134474647185616959, 2e-12);
+    EXPECT_NEAR(igamc(1e8, 100020000.0), 0.022755530774855202606, 2e-12);
+    EXPECT_NEAR(igamc(1e8, 100030000.0), 0.0013510801016019576218, 2e-12);
+    // The inverse then resolves to its bisection width (1e-13 relative).
+    EXPECT_NEAR(igamc_inv(1e6, 0.5), 999999.66666668641976, 2e-7);
+    EXPECT_NEAR(igamc_inv(1e6, 0.01), 1002327.8184027578277, 2e-7);
+    EXPECT_NEAR(igamc_inv(1e8, 0.5), 99999999.666666666864, 2e-5);
+    EXPECT_NEAR(igamc_inv(1e8, 0.01), 100023264.94936162161, 2e-5);
+    EXPECT_NEAR(igamc_inv(1e8, 1e-6), 100047541.44164167783, 2e-5);
+}
+
 TEST(igamc, monotone_in_x_and_a_at_large_a)
 {
     const double a = 1e6;

@@ -1,8 +1,8 @@
 // Packed-lane equivalence suite: the per-bit path is the oracle, and every
 // batched path must be bit-exact against it -- the span lane's engine
-// counters through the whole register map, the engines' word step,
-// health-test engines, bulk word generation, and the monitor's end-to-end
-// verdicts.
+// counters through the whole register map, the health-test engines' span
+// kernels on ragged chunks, bulk word generation, and the monitor's
+// end-to-end verdicts.
 #include "core/design_config.hpp"
 #include "core/monitor.hpp"
 #include "hw/health_tests.hpp"
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -238,86 +239,111 @@ TEST(word_path, span_lane_rejects_overrun)
     EXPECT_THROW(block.feed_span(words.data(), 1), std::logic_error);
 }
 
-TEST(word_path, shared_window_engine_must_override_consume_word)
-{
-    // An engine that declares it watches the shared template window but
-    // inherits the per-bit consume_word default would silently read a
-    // stale window; the base class refuses loudly.
-    class lazy_engine final : public hw::engine {
-    public:
-        lazy_engine() : hw::engine("lazy") {}
-        void consume(bool, std::uint64_t) override {}
-        bool watches_shared_window() const override { return true; }
-        void add_registers(hw::register_map&) const override {}
+// An engine that watches the shared template window cannot inherit a
+// generic per-bit span loop (the block advances the shared register only
+// after the span, so that loop would read a stale window): consume_span is
+// pure, so such an engine cannot be instantiated until it brings its own
+// span kernel.
+class span_less_engine : public hw::engine {
+public:
+    span_less_engine() : hw::engine("span_less") {}
+    void consume(bool, std::uint64_t) override {}
+    void add_registers(hw::register_map&) const override {}
 
-    protected:
-        rtl::resources self_cost() const override { return {}; }
-        void self_reset() override {}
-    };
-    lazy_engine engine;
-    engine.consume(true, 0); // per-bit lane stays usable
-    EXPECT_THROW(engine.consume_word(0, 64, 0), std::logic_error);
-}
+protected:
+    rtl::resources self_cost() const override { return {}; }
+    void self_reset() override {}
+};
+static_assert(std::is_abstract_v<span_less_engine>,
+              "an engine without its own consume_span must stay abstract");
 
 // ---------------------------------------------------------------------------
 // SP 800-90B health-test engines.
 // ---------------------------------------------------------------------------
 
-void drive_health_pair(const bit_sequence& seq, unsigned chunk_seed,
-                       hw::repetition_count_hw& rct_oracle,
-                       hw::repetition_count_hw& rct_fast,
-                       hw::adaptive_proportion_hw& apt_oracle,
-                       hw::adaptive_proportion_hw& apt_fast)
-{
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        rct_oracle.consume(seq[i], i);
-        apt_oracle.consume(seq[i], i);
+// APT shapes: a 2^10-bit window, whose segments are whole words on
+// aligned chunks, and a 2^4-bit window, where every segment sits inside
+// one word at some bit offset.
+struct apt_shape {
+    unsigned log2_window;
+    unsigned cutoff;
+};
+constexpr apt_shape kAptShapes[] = {{10, 700}, {4, 13}};
+
+struct health_pair {
+    explicit health_pair(apt_shape shape)
+        : apt_oracle(shape.log2_window, shape.cutoff),
+          apt_fast(shape.log2_window, shape.cutoff)
+    {
     }
-    trng::xoshiro256ss chunk_rng(chunk_seed);
-    std::size_t pos = 0;
-    while (pos < seq.size()) {
-        std::size_t take = 1 + chunk_rng.next() % 64;
-        if (take > seq.size() - pos) {
-            take = seq.size() - pos;
+    hw::repetition_count_hw rct_oracle{21}, rct_fast{21};
+    hw::adaptive_proportion_hw apt_oracle, apt_fast;
+};
+
+// Runs an RCT and an APT of every shape in kAptShapes over `seq` on both
+// lanes (per-bit oracle vs consume_span on ragged chunks), checks that
+// the lanes agree, then hands each finished pair to `expect` with a
+// context string naming the shape.
+template <typename Expect>
+void drive_health_pairs(const bit_sequence& seq, unsigned chunk_seed,
+                        Expect expect)
+{
+    for (const apt_shape shape : kAptShapes) {
+        const std::string ctx =
+            "APT window 2^" + std::to_string(shape.log2_window);
+        health_pair p(shape);
+        // Counters are compared after every chunk: the alarms are sticky
+        // and the final count covers only the last window.
+        trng::xoshiro256ss chunk_rng(chunk_seed);
+        std::size_t pos = 0;
+        while (pos < seq.size()) {
+            std::size_t take = 1 + chunk_rng.next() % 64;
+            if (take > seq.size() - pos) {
+                take = seq.size() - pos;
+            }
+            std::uint64_t word = 0;
+            for (std::size_t i = 0; i < take; ++i) {
+                p.rct_oracle.consume(seq[pos + i], pos + i);
+                p.apt_oracle.consume(seq[pos + i], pos + i);
+                word |= static_cast<std::uint64_t>(seq[pos + i] ? 1 : 0)
+                        << i;
+            }
+            p.rct_fast.consume_span(&word, take, pos);
+            p.apt_fast.consume_span(&word, take, pos);
+            pos += take;
+            ASSERT_EQ(p.rct_oracle.current_run(), p.rct_fast.current_run())
+                << ctx << ", after bit " << pos;
+            ASSERT_EQ(p.apt_oracle.current_count(),
+                      p.apt_fast.current_count())
+                << ctx << ", after bit " << pos;
         }
-        std::uint64_t word = 0;
-        for (std::size_t i = 0; i < take; ++i) {
-            word |= static_cast<std::uint64_t>(seq[pos + i] ? 1 : 0) << i;
-        }
-        rct_fast.consume_word(word, static_cast<unsigned>(take), pos);
-        apt_fast.consume_word(word, static_cast<unsigned>(take), pos);
-        pos += take;
+        EXPECT_EQ(p.rct_oracle.longest_run(), p.rct_fast.longest_run())
+            << ctx;
+        EXPECT_EQ(p.rct_oracle.alarm(), p.rct_fast.alarm()) << ctx;
+        EXPECT_EQ(p.apt_oracle.alarm(), p.apt_fast.alarm()) << ctx;
+        expect(ctx, p);
     }
 }
 
 TEST(word_path, health_tests_match_per_bit_on_random_stream)
 {
     const bit_sequence seq = random_sequence(fixture_seed(7), 1 << 14);
-    hw::repetition_count_hw rct_oracle(21), rct_fast(21);
-    hw::adaptive_proportion_hw apt_oracle(10, 700), apt_fast(10, 700);
-    drive_health_pair(seq, 11, rct_oracle, rct_fast, apt_oracle, apt_fast);
-    EXPECT_EQ(rct_oracle.current_run(), rct_fast.current_run());
-    EXPECT_EQ(rct_oracle.longest_run(), rct_fast.longest_run());
-    EXPECT_EQ(rct_oracle.alarm(), rct_fast.alarm());
-    EXPECT_EQ(apt_oracle.current_count(), apt_fast.current_count());
-    EXPECT_EQ(apt_oracle.alarm(), apt_fast.alarm());
+    drive_health_pairs(seq, 11, [](const std::string&, const health_pair&) {
+    });
 }
 
 TEST(word_path, health_tests_match_per_bit_on_sticky_stream)
 {
     // Sticky source: long equal runs trip the RCT on both lanes alike
-    // (runs average ~33 bits, far beyond the cutoff of 21; the APT stays
-    // quiet because the 0-runs and 1-runs balance within its window).
+    // (runs average ~33 bits, far beyond the cutoff of 21; the 2^10-bit
+    // APT stays quiet because the 0-runs and 1-runs balance within its
+    // window).
     trng::markov_source src(fixture_seed(8), 0.97);
     const bit_sequence seq = src.generate(1 << 12);
-    hw::repetition_count_hw rct_oracle(21), rct_fast(21);
-    hw::adaptive_proportion_hw apt_oracle(10, 700), apt_fast(10, 700);
-    drive_health_pair(seq, 13, rct_oracle, rct_fast, apt_oracle, apt_fast);
-    EXPECT_EQ(rct_oracle.alarm(), rct_fast.alarm());
-    EXPECT_TRUE(rct_fast.alarm());
-    EXPECT_EQ(rct_oracle.longest_run(), rct_fast.longest_run());
-    EXPECT_EQ(apt_oracle.current_count(), apt_fast.current_count());
-    EXPECT_EQ(apt_oracle.alarm(), apt_fast.alarm());
+    drive_health_pairs(seq, 13,
+                       [](const std::string& ctx, const health_pair& p) {
+                           EXPECT_TRUE(p.rct_fast.alarm()) << ctx;
+                       });
 }
 
 TEST(word_path, health_tests_match_per_bit_on_stuck_stream)
@@ -325,16 +351,11 @@ TEST(word_path, health_tests_match_per_bit_on_stuck_stream)
     // Total failure: every bit matches the window reference, so the APT
     // must alarm on both lanes (and the RCT trivially does too).
     const bit_sequence seq(1 << 12, true);
-    hw::repetition_count_hw rct_oracle(21), rct_fast(21);
-    hw::adaptive_proportion_hw apt_oracle(10, 700), apt_fast(10, 700);
-    drive_health_pair(seq, 17, rct_oracle, rct_fast, apt_oracle, apt_fast);
-    EXPECT_EQ(rct_oracle.alarm(), rct_fast.alarm());
-    EXPECT_TRUE(rct_fast.alarm());
-    EXPECT_EQ(rct_oracle.longest_run(), rct_fast.longest_run());
-    EXPECT_EQ(rct_oracle.current_run(), rct_fast.current_run());
-    EXPECT_EQ(apt_oracle.current_count(), apt_fast.current_count());
-    EXPECT_EQ(apt_oracle.alarm(), apt_fast.alarm());
-    EXPECT_TRUE(apt_fast.alarm());
+    drive_health_pairs(seq, 17,
+                       [](const std::string& ctx, const health_pair& p) {
+                           EXPECT_TRUE(p.rct_fast.alarm()) << ctx;
+                           EXPECT_TRUE(p.apt_fast.alarm()) << ctx;
+                       });
 }
 
 // ---------------------------------------------------------------------------
