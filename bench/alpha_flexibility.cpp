@@ -37,9 +37,9 @@ int main()
                 "t13 bound z", "windows failing (rate)");
     for (const double alpha : {0.001, 0.005, 0.01}) {
         const auto cv = core::compute_critical_values(cfg, alpha);
-        const core::software_runner runner(cfg, cv);
-        unsigned failures = 0;
         hw::testing_block block(cfg);
+        const core::software_runner runner(cfg, cv, block.registers());
+        unsigned failures = 0;
         for (const auto& seq : sequences) {
             block.run(seq);
             sw16::soft_cpu cpu(16);

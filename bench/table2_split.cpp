@@ -36,7 +36,7 @@ int main()
     hw::testing_block block(cfg);
     block.run(seq);
     const core::software_runner runner(
-        cfg, core::compute_critical_values(cfg, alpha));
+        cfg, core::compute_critical_values(cfg, alpha), block.registers());
     sw16::soft_cpu cpu(16);
     const auto sw = runner.run(block.registers(), cpu);
 

@@ -14,7 +14,7 @@ monitor::monitor(hw::block_config cfg, double alpha, sw16::cycle_model mcu)
 
 monitor::monitor(hw::block_config cfg, critical_values cv,
                  sw16::cycle_model mcu)
-    : block_(cfg), runner_(cfg, std::move(cv)), cpu_(16),
+    : block_(cfg), runner_(cfg, std::move(cv), block_.registers()), cpu_(16),
       mcu_(std::move(mcu))
 {
 }
@@ -102,7 +102,9 @@ void monitor::reconfigure(const hw::block_config& target,
                           critical_values cv)
 {
     block_.reprogram(target);
-    runner_ = software_runner(block_.config(), std::move(cv));
+    // The reprogrammed block has a new register map: relink the pass.
+    runner_ = software_runner(block_.config(), std::move(cv),
+                              block_.registers());
 }
 
 void monitor::reconfigure(const hw::block_config& target, double alpha)

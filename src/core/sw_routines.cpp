@@ -3,8 +3,9 @@
 #include "sw16/pwl_xlogx.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 namespace otf::core {
 
@@ -23,123 +24,254 @@ const test_verdict* software_result::find(hw::test_id id) const
     return nullptr;
 }
 
-software_runner::software_runner(hw::block_config cfg, critical_values cv)
+namespace {
+
+constexpr std::size_t unbound = static_cast<std::size_t>(-1);
+
+/// A register the linked routines read: a scalar by its map name, or a
+/// counter file whose element i is mapped as "<name>[i]".
+struct wanted_scalar {
+    std::string_view name;
+    std::size_t* slot;
+};
+struct wanted_file {
+    std::string_view name;
+    std::vector<std::size_t>* slots;
+};
+
+/// Splits "<file>[<index>]" into its file name and index; false for a
+/// scalar name.
+bool split_element(std::string_view name, std::string_view& file,
+                   std::size_t& index)
+{
+    const std::size_t open = name.find('[');
+    if (open == std::string_view::npos || name.back() != ']') {
+        return false;
+    }
+    const char* first = name.data() + open + 1;
+    const char* last = name.data() + name.size() - 1;
+    const auto [end, ec] = std::from_chars(first, last, index);
+    if (ec != std::errc{} || end != last) {
+        return false;
+    }
+    file = name.substr(0, open);
+    return true;
+}
+
+[[noreturn]] void unlinked_register(const hw::block_config& cfg,
+                                    const std::string& name)
+{
+    throw std::invalid_argument("software_runner: design \"" + cfg.name
+                                + "\" reads register " + name
+                                + ", which the register map lacks");
+}
+
+[[noreturn]] void layout_mismatch(const hw::block_config& cfg,
+                                  std::size_t linked, std::size_t got)
+{
+    throw std::invalid_argument(
+        "software_runner: linked against a " + std::to_string(linked)
+        + "-entry register map for \"" + cfg.name + "\", got "
+        + std::to_string(got) + " entries");
+}
+
+} // namespace
+
+software_runner::software_runner(hw::block_config cfg, critical_values cv,
+                                 const hw::register_map& layout)
     : cfg_(std::move(cfg)), cv_(std::move(cv))
 {
     cfg_.validate();
+    link(layout);
 }
 
-const reg& software_runner::fetched::get(const std::string& name) const
+void software_runner::link(const hw::register_map& layout)
 {
-    const auto it = values.find(name);
-    if (it == values.end()) {
-        throw std::out_of_range("software_runner: value not collected: "
-                                + name);
+    using hw::test_id;
+    const hw::test_set& t = cfg_.tests;
+    const bool serial_file =
+        t.has(test_id::serial) || t.has(test_id::approximate_entropy);
+    derive_marginals_ = serial_file && cfg_.serial_transfer_marginals;
+
+    std::vector<wanted_scalar> scalars;
+    std::vector<wanted_file> files;
+    const auto want_scalar = [&](std::string_view name, std::size_t& slot) {
+        slot = unbound;
+        scalars.push_back({name, &slot});
+    };
+    const auto want_file = [&](std::string_view name, slot_file& slots,
+                               std::size_t count) {
+        slots.assign(count, unbound);
+        files.push_back({name, &slots});
+    };
+    if (t.has(test_id::frequency) || t.has(test_id::runs)
+        || t.has(test_id::cumulative_sums)) {
+        want_scalar("cusum.s_final", s_final_);
     }
-    return it->second;
+    if (t.has(test_id::cumulative_sums)) {
+        want_scalar("cusum.s_max", s_max_);
+        want_scalar("cusum.s_min", s_min_);
+    }
+    if (t.has(test_id::runs)) {
+        want_scalar("runs.n_runs", n_runs_);
+    }
+    if (t.has(test_id::block_frequency)) {
+        want_file("block_frequency.eps", eps_,
+                  std::size_t{1} << (cfg_.log2_n - cfg_.bf_log2_m));
+    }
+    if (t.has(test_id::longest_run)) {
+        want_file("longest_run.nu", nu_lr_, cv_.t4_weights_q.size());
+    }
+    if (t.has(test_id::non_overlapping_template)) {
+        want_file("non_overlapping.w", w_t7_,
+                  std::size_t{1} << (cfg_.log2_n - cfg_.t7_log2_m));
+    }
+    if (t.has(test_id::overlapping_template)) {
+        want_file("overlapping.nu_temp", nu_t8_, cv_.t8_weights_q.size());
+    }
+    const unsigned m = cfg_.serial_m;
+    if (serial_file) {
+        want_file("serial.nu_m", nu_m_, std::size_t{1} << m);
+        if (!derive_marginals_) {
+            want_file("serial.nu_m1", nu_m1_, std::size_t{1} << (m - 1));
+            want_file("serial.nu_m2", nu_m2_, std::size_t{1} << (m - 2));
+        }
+    }
+    // One pass over the layout: every entry a routine reads gets its map
+    // index as its slot.
+    mapped_ = layout.size();
+    for (std::size_t i = 0; i < mapped_; ++i) {
+        const std::string_view name = layout.entry(i).name;
+        std::string_view file;
+        std::size_t element = 0;
+        if (split_element(name, file, element)) {
+            for (wanted_file& f : files) {
+                if (f.name == file && element < f.slots->size()) {
+                    (*f.slots)[element] = i;
+                }
+            }
+        } else {
+            for (wanted_scalar& s : scalars) {
+                if (s.name == name) {
+                    *s.slot = i;
+                }
+            }
+        }
+    }
+    for (const wanted_scalar& s : scalars) {
+        if (*s.slot == unbound) {
+            unlinked_register(cfg_, std::string{s.name});
+        }
+    }
+    for (const wanted_file& f : files) {
+        for (std::size_t e = 0; e < f.slots->size(); ++e) {
+            if ((*f.slots)[e] == unbound) {
+                unlinked_register(cfg_, std::string{f.name} + "["
+                                            + std::to_string(e) + "]");
+            }
+        }
+    }
+
+    // Interface-reduction option: the shorter serial counts are not
+    // mapped; collect() derives them into the slots after the map.
+    slots_ = mapped_;
+    if (derive_marginals_) {
+        const auto place = [&](slot_file& slots, std::size_t count) {
+            slots.resize(count);
+            for (std::size_t& slot : slots) {
+                slot = slots_++;
+            }
+        };
+        place(nu_m1_, std::size_t{1} << (m - 1));
+        place(nu_m2_, std::size_t{1} << (m - 2));
+    }
 }
 
-software_runner::fetched
+software_runner::values
 software_runner::collect(const hw::register_map& map, soft_cpu& cpu) const
 {
     // The collection pass: one multi-word peripheral read per mapped value.
-    fetched store;
-    for (std::size_t i = 0; i < map.size(); ++i) {
-        const hw::map_entry& e = map.entry(i);
-        cpu.charge_read(e.width);
-        store.values[e.name] = reg{map.read_value(i), e.width};
+    values v(slots_);
+    for (std::size_t i = 0; i < mapped_; ++i) {
+        const unsigned width = map.entry(i).width;
+        cpu.charge_read(width);
+        v[i] = reg{map.read_value(i), width};
     }
 
     // Interface-reduction option: the hardware only transfers the m-bit
     // pattern counts; the shorter counts are their cyclic marginals,
     // nu_{k-1}[p] = nu_k[2p] + nu_k[2p+1], derived here at one ADD each.
-    if (cfg_.serial_transfer_marginals
-        && (cfg_.tests.has(hw::test_id::serial)
-            || cfg_.tests.has(hw::test_id::approximate_entropy))) {
-        const auto derive = [&](const char* from, const char* to,
-                                unsigned patterns) {
-            for (unsigned p = 0; p < patterns; ++p) {
-                const reg lo = store.get(std::string{from} + "["
-                                         + std::to_string(2 * p) + "]");
-                const reg hi = store.get(std::string{from} + "["
-                                         + std::to_string(2 * p + 1)
-                                         + "]");
-                store.values[std::string{to} + "[" + std::to_string(p)
-                             + "]"] = cpu.add(lo, hi);
+    if (derive_marginals_) {
+        const auto derive = [&](const slot_file& from, const slot_file& to) {
+            for (std::size_t p = 0; p < to.size(); ++p) {
+                v[to[p]] = cpu.add(v[from[2 * p]], v[from[2 * p + 1]]);
             }
         };
-        derive("serial.nu_m", "serial.nu_m1", 1u << (cfg_.serial_m - 1));
-        derive("serial.nu_m1", "serial.nu_m2", 1u << (cfg_.serial_m - 2));
+        derive(nu_m_, nu_m1_);
+        derive(nu_m1_, nu_m2_);
     }
-    return store;
+    return v;
 }
 
 software_result software_runner::run(const hw::register_map& map,
                                      soft_cpu& cpu) const
 {
+    if (map.size() != mapped_) {
+        layout_mismatch(cfg_, mapped_, map.size());
+    }
     software_result result;
+    result.verdicts.reserve(cfg_.tests.count());
 
-    const sw16::op_counts before_collect = cpu.counts();
-    const fetched values = collect(map, cpu);
-    result.collection_ops = cpu.counts() - before_collect;
+    const sw16::op_counts before = cpu.counts();
+    const values v = collect(map, cpu);
+    result.collection_ops = cpu.counts() - before;
 
-    const auto run_one = [&](const char* name, auto&& routine) {
-        const sw16::op_counts before = cpu.counts();
-        test_verdict verdict = routine();
+    const auto run_one = [&](const char* name, test_verdict verdict) {
         verdict.name = name;
-        result.per_test_ops[name] = cpu.counts() - before;
         result.all_pass = result.all_pass && verdict.pass;
         result.verdicts.push_back(std::move(verdict));
     };
 
     using hw::test_id;
     if (cfg_.tests.has(test_id::frequency)) {
-        run_one("frequency", [&] { return run_frequency(cpu, values); });
+        run_one("frequency", run_frequency(cpu, v));
     }
     if (cfg_.tests.has(test_id::block_frequency)) {
-        run_one("block_frequency",
-                [&] { return run_block_frequency(cpu, values); });
+        run_one("block_frequency", run_block_frequency(cpu, v));
     }
     if (cfg_.tests.has(test_id::runs)) {
-        run_one("runs", [&] { return run_runs(cpu, values); });
+        run_one("runs", run_runs(cpu, v));
     }
     if (cfg_.tests.has(test_id::longest_run)) {
-        run_one("longest_run", [&] { return run_longest_run(cpu, values); });
+        run_one("longest_run", run_longest_run(cpu, v));
     }
     if (cfg_.tests.has(test_id::non_overlapping_template)) {
-        run_one("non_overlapping_template",
-                [&] { return run_non_overlapping(cpu, values); });
+        run_one("non_overlapping_template", run_non_overlapping(cpu, v));
     }
     if (cfg_.tests.has(test_id::overlapping_template)) {
-        run_one("overlapping_template",
-                [&] { return run_overlapping(cpu, values); });
+        run_one("overlapping_template", run_overlapping(cpu, v));
     }
     if (cfg_.tests.has(test_id::serial)) {
-        run_one("serial", [&] { return run_serial(cpu, values); });
+        run_one("serial", run_serial(cpu, v));
     }
     if (cfg_.tests.has(test_id::approximate_entropy)) {
-        run_one("approximate_entropy",
-                [&] { return run_approximate_entropy(cpu, values); });
+        run_one("approximate_entropy", run_approximate_entropy(cpu, v));
     }
     if (cfg_.tests.has(test_id::cumulative_sums)) {
-        run_one("cumulative_sums",
-                [&] { return run_cumulative_sums(cpu, values); });
+        run_one("cumulative_sums", run_cumulative_sums(cpu, v));
     }
 
-    result.total_ops = result.collection_ops;
-    for (const auto& entry : result.per_test_ops) {
-        result.total_ops += entry.second;
-    }
+    result.total_ops = cpu.counts() - before;
     return result;
 }
 
 // ---------------------------------------------------------------- test 1 --
 test_verdict software_runner::run_frequency(soft_cpu& cpu,
-                                            const fetched& v) const
+                                            const values& v) const
 {
     // |S_final| <= precomputed sqrt(2n) erfc^-1(alpha).  S_final comes from
     // the cusum walk (sharing trick 1: no ones-counter exists in hardware).
-    const reg s = v.get("cusum.s_final");
+    const reg s = v[s_final_];
     const reg magnitude = cpu.abs(s);
     const reg bound = soft_cpu::constant(
         cv_.t1_max_deviation, bits_for_signed(cv_.t1_max_deviation));
@@ -153,18 +285,15 @@ test_verdict software_runner::run_frequency(soft_cpu& cpu,
 
 // ---------------------------------------------------------------- test 2 --
 test_verdict software_runner::run_block_frequency(soft_cpu& cpu,
-                                                  const fetched& v) const
+                                                  const values& v) const
 {
     // sum (2 eps_i - M)^2 <= M * chi2_crit(N dof).
-    const unsigned blocks = 1u << (cfg_.log2_n - cfg_.bf_log2_m);
     const std::int64_t m_value = std::int64_t{1} << cfg_.bf_log2_m;
     const reg m_const =
         soft_cpu::constant(m_value, bits_for_signed(m_value));
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < blocks; ++i) {
-        const reg eps =
-            v.get("block_frequency.eps[" + std::to_string(i) + "]");
-        reg d = cpu.shift_left(eps, 1);
+    for (const std::size_t slot : eps_) {
+        reg d = cpu.shift_left(v[slot], 1);
         d = cpu.sub(d, m_const);
         d = cpu.abs(d);
         const reg square = cpu.sqr(d);
@@ -181,13 +310,13 @@ test_verdict software_runner::run_block_frequency(soft_cpu& cpu,
 }
 
 // ---------------------------------------------------------------- test 3 --
-test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
+test_verdict software_runner::run_runs(soft_cpu& cpu, const values& v) const
 {
     test_verdict verdict;
     verdict.id = hw::test_id::runs;
 
     // Frequency prerequisite on the walk's final value.
-    const reg s = v.get("cusum.s_final");
+    const reg s = v[s_final_];
     const reg magnitude = cpu.abs(s);
     const reg prereq = soft_cpu::constant(
         cv_.t3_prereq_deviation, bits_for_signed(cv_.t3_prereq_deviation));
@@ -222,7 +351,7 @@ test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
     }
     const runs_interval& iv = cv_.t3_intervals[lo];
 
-    const reg runs = v.get("runs.n_runs");
+    const reg runs = v[n_runs_];
     const reg lo_bound =
         soft_cpu::constant(iv.runs_lo, bits_for_signed(iv.runs_lo));
     const reg hi_bound =
@@ -237,13 +366,12 @@ test_verdict software_runner::run_runs(soft_cpu& cpu, const fetched& v) const
 
 // ---------------------------------------------------------------- test 4 --
 test_verdict software_runner::run_longest_run(soft_cpu& cpu,
-                                              const fetched& v) const
+                                              const values& v) const
 {
     // sum nu_i^2 w_i <= 2^q N (crit + N), w_i = round(2^q / pi_i).
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t4_weights_q.size(); ++c) {
-        const reg nu = v.get("longest_run.nu[" + std::to_string(c) + "]");
-        const reg square = cpu.sqr(nu);
+        const reg square = cpu.sqr(v[nu_lr_[c]]);
         const reg w = soft_cpu::constant(
             cv_.t4_weights_q[c], bits_for_signed(cv_.t4_weights_q[c]));
         const reg term = cpu.mul(square, w);
@@ -261,17 +389,15 @@ test_verdict software_runner::run_longest_run(soft_cpu& cpu,
 
 // ---------------------------------------------------------------- test 7 --
 test_verdict software_runner::run_non_overlapping(soft_cpu& cpu,
-                                                  const fetched& v) const
+                                                  const values& v) const
 {
     // sum (2^m W_i - (M - m + 1))^2 <= 2^{2m} sigma^2 crit.
-    const unsigned blocks = 1u << (cfg_.log2_n - cfg_.t7_log2_m);
     const std::int64_t mu_scaled =
         (std::int64_t{1} << cfg_.t7_log2_m) - cfg_.template_length + 1;
     const reg mu = soft_cpu::constant(mu_scaled, bits_for_signed(mu_scaled));
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < blocks; ++i) {
-        const reg w = v.get("non_overlapping.w[" + std::to_string(i) + "]");
-        reg d = cpu.shift_left(w, cfg_.template_length);
+    for (const std::size_t slot : w_t7_) {
+        reg d = cpu.shift_left(v[slot], cfg_.template_length);
         d = cpu.sub(d, mu);
         d = cpu.abs(d);
         const reg square = cpu.sqr(d);
@@ -289,13 +415,11 @@ test_verdict software_runner::run_non_overlapping(soft_cpu& cpu,
 
 // ---------------------------------------------------------------- test 8 --
 test_verdict software_runner::run_overlapping(soft_cpu& cpu,
-                                              const fetched& v) const
+                                              const values& v) const
 {
     reg acc = soft_cpu::constant(0, 1);
     for (std::size_t c = 0; c < cv_.t8_weights_q.size(); ++c) {
-        const reg nu = v.get("overlapping.nu_temp[" + std::to_string(c)
-                             + "]");
-        const reg square = cpu.sqr(nu);
+        const reg square = cpu.sqr(v[nu_t8_[c]]);
         const reg w = soft_cpu::constant(
             cv_.t8_weights_q[c], bits_for_signed(cv_.t8_weights_q[c]));
         const reg term = cpu.mul(square, w);
@@ -315,12 +439,12 @@ test_verdict software_runner::run_overlapping(soft_cpu& cpu,
 namespace {
 
 /// Sum of squares over a counter file.
-reg sum_of_squares(soft_cpu& cpu, const std::function<reg(unsigned)>& at,
-                   unsigned count)
+reg sum_of_squares(soft_cpu& cpu, const std::vector<reg>& v,
+                   const std::vector<std::size_t>& file)
 {
     reg acc = soft_cpu::constant(0, 1);
-    for (unsigned i = 0; i < count; ++i) {
-        const reg square = cpu.sqr(at(i));
+    for (const std::size_t slot : file) {
+        const reg square = cpu.sqr(v[slot]);
         acc = cpu.add(acc, square);
     }
     return acc;
@@ -330,21 +454,12 @@ reg sum_of_squares(soft_cpu& cpu, const std::function<reg(unsigned)>& at,
 
 // --------------------------------------------------------------- test 11 --
 test_verdict software_runner::run_serial(soft_cpu& cpu,
-                                         const fetched& v) const
+                                         const values& v) const
 {
     const unsigned m = cfg_.serial_m;
-    const auto file_value = [&](const char* file, unsigned i) {
-        return v.get(std::string{file} + "[" + std::to_string(i) + "]");
-    };
-    const reg sum_m = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m", i); },
-        1u << m);
-    const reg sum_m1 = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m1", i); },
-        1u << (m - 1));
-    const reg sum_m2 = sum_of_squares(
-        cpu, [&](unsigned i) { return file_value("serial.nu_m2", i); },
-        1u << (m - 2));
+    const reg sum_m = sum_of_squares(cpu, v, nu_m_);
+    const reg sum_m1 = sum_of_squares(cpu, v, nu_m1_);
+    const reg sum_m2 = sum_of_squares(cpu, v, nu_m2_);
 
     // n del-psi^2   = 2^m sum_m - 2^{m-1} sum_m1
     // n del2-psi^2  = 2^m sum_m - 2^m sum_m1 + 2^{m-2} sum_m2
@@ -371,30 +486,27 @@ test_verdict software_runner::run_serial(soft_cpu& cpu,
 
 // --------------------------------------------------------------- test 12 --
 test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu,
-                                                      const fetched& v) const
+                                                      const values& v) const
 {
     // ApEn(m-1) = phi_{m-1} - phi_m = sum g(nu_m / n) - sum g(nu_{m-1} / n)
     // with g(x) = -x ln x evaluated by the 32-segment PWL table; the
     // division by n is a pure shift because n is a power of two.
-    const unsigned m = cfg_.serial_m;
     const auto to_q16 = [&](reg nu) {
         if (cfg_.log2_n >= 16) {
             return cpu.shift_right(nu, cfg_.log2_n - 16);
         }
         return cpu.shift_left(nu, 16 - cfg_.log2_n);
     };
-    const auto phi_sum = [&](const char* file, unsigned count) {
+    const auto phi_sum = [&](const slot_file& file) {
         reg acc = soft_cpu::constant(0, 1);
-        for (unsigned i = 0; i < count; ++i) {
-            const reg nu =
-                v.get(std::string{file} + "[" + std::to_string(i) + "]");
-            const reg g = sw16::pwl_xlogx(cpu, to_q16(nu));
+        for (const std::size_t slot : file) {
+            const reg g = sw16::pwl_xlogx(cpu, to_q16(v[slot]));
             acc = cpu.add(acc, g);
         }
         return acc;
     };
-    const reg a = phi_sum("serial.nu_m", 1u << m);
-    const reg b = phi_sum("serial.nu_m1", 1u << (m - 1));
+    const reg a = phi_sum(nu_m_);
+    const reg b = phi_sum(nu_m1_);
     const reg apen_q16 = cpu.sub(a, b);
     const reg bound = soft_cpu::constant(
         cv_.t12_apen_min_q16, bits_for_signed(cv_.t12_apen_min_q16));
@@ -408,14 +520,14 @@ test_verdict software_runner::run_approximate_entropy(soft_cpu& cpu,
 
 // --------------------------------------------------------------- test 13 --
 test_verdict software_runner::run_cumulative_sums(soft_cpu& cpu,
-                                                  const fetched& v) const
+                                                  const values& v) const
 {
     // Forward mode:  z = max(S_max, -S_min).
     // Backward mode: z = max(S_max - S_final, S_final - S_min) -- the
     // Table II formula; both modes from the same three registers.
-    const reg s_final = v.get("cusum.s_final");
-    const reg s_max = v.get("cusum.s_max");
-    const reg s_min = v.get("cusum.s_min");
+    const reg s_final = v[s_final_];
+    const reg s_max = v[s_max_];
+    const reg s_min = v[s_min_];
 
     const reg zero = soft_cpu::constant(0, 1);
     const reg neg_min = cpu.sub(zero, s_min);

@@ -123,7 +123,7 @@ TEST_P(config_fuzz, thirty_two_bit_platform_same_verdicts_fewer_ops)
     hw::testing_block block(cfg);
     block.run(window);
     const core::software_runner runner(
-        cfg, core::compute_critical_values(cfg, 0.01));
+        cfg, core::compute_critical_values(cfg, 0.01), block.registers());
 
     sw16::soft_cpu cpu16(16);
     sw16::soft_cpu cpu32(32);

@@ -67,7 +67,8 @@ protected:
         hw::testing_block block(cfg_);
         block.run(seq_);
         const core::software_runner runner(
-            cfg_, core::compute_critical_values(cfg_, alpha));
+            cfg_, core::compute_critical_values(cfg_, alpha),
+            block.registers());
         sw16::soft_cpu cpu(16);
         result_ = runner.run(block.registers(), cpu);
     }

@@ -240,7 +240,10 @@ protected:
 
 TEST_F(firmware_test, verdicts_match_software_runner_across_seeds)
 {
-    const core::software_runner runner(cfg_, cv_);
+    // Linked once against one block's layout, run on a fresh block of the
+    // same design per seed.
+    const hw::testing_block layout(cfg_);
+    const core::software_runner runner(cfg_, cv_, layout.registers());
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
         trng::ideal_source src(seed * 31);
         const bit_sequence seq = src.generate(cfg_.n());
