@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -116,20 +117,35 @@ public:
         return words;
     }
 
+    /// Append the first `nbits` bits of a packed span (to_words() order):
+    /// one resize, then 64 bits per source word.
+    void append_words(std::span<const std::uint64_t> words, std::size_t nbits)
+    {
+        if (nbits > words.size() * 64) {
+            throw std::out_of_range(
+                "bit_sequence::append_words: nbits exceeds the word buffer");
+        }
+        const std::size_t first = bits_.size();
+        bits_.resize(first + nbits);
+        std::uint8_t* out = bits_.data() + first;
+        const std::size_t full = nbits / 64;
+        for (std::size_t w = 0; w < full; ++w, out += 64) {
+            const std::uint64_t word = words[w];
+            for (unsigned i = 0; i < 64; ++i) {
+                out[i] = static_cast<std::uint8_t>((word >> i) & 1u);
+            }
+        }
+        for (unsigned i = 0; i < nbits % 64; ++i) {
+            out[i] = static_cast<std::uint8_t>((words[full] >> i) & 1u);
+        }
+    }
+
     /// Inverse of to_words(): the first `nbits` packed bits as a sequence.
     static bit_sequence from_words(const std::vector<std::uint64_t>& words,
                                    std::size_t nbits)
     {
-        if (nbits > words.size() * 64) {
-            throw std::out_of_range(
-                "bit_sequence::from_words: nbits exceeds the word buffer");
-        }
         bit_sequence seq;
-        seq.bits_.reserve(nbits);
-        for (std::size_t i = 0; i < nbits; ++i) {
-            seq.bits_.push_back(
-                static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1u));
-        }
+        seq.append_words(words, nbits);
         return seq;
     }
 

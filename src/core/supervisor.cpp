@@ -402,11 +402,7 @@ confirmation_result supervisor::confirm_offline() const
     }
     seq.reserve(total_words * 64);
     for (const evidence_window& ev : evidence_) {
-        for (const std::uint64_t word : ev.words) {
-            for (unsigned i = 0; i < 64; ++i) {
-                seq.push_back(((word >> i) & 1u) != 0);
-            }
-        }
+        seq.append_words(ev.words, ev.words.size() * 64);
         ++conf.evidence_windows;
     }
     conf.evidence_bits = seq.size();

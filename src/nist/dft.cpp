@@ -13,11 +13,7 @@ dft_result dft_test(const bit_sequence& seq)
     if (n < 2) {
         throw std::invalid_argument("dft_test: need at least two bits");
     }
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] = seq[i] ? 1.0 : -1.0;
-    }
-    const std::vector<double> magnitudes = dft_magnitudes(x);
+    const std::vector<double> magnitudes = dft_magnitudes(seq);
 
     dft_result r;
     const double nd = static_cast<double>(n);

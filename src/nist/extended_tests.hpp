@@ -74,8 +74,13 @@ struct linear_complexity_result {
 linear_complexity_result linear_complexity_test(const bit_sequence& seq,
                                                 unsigned block_length = 500);
 
-/// Berlekamp-Massey: linear complexity of a bit block (exposed for tests
-/// and for the Table I storage/complexity quantification).
+/// Berlekamp-Massey: linear complexity of a bit block (one 0/1 byte per
+/// bit; exposed for tests and for the Table I storage/complexity
+/// quantification).  The block is packed back to front into 64-bit words
+/// and C(x), B(x) live in words: each step's discrepancy is the parity of
+/// popcount(C & window) over L/64 + 1 words and the update is a word
+/// shift-XOR, the same loop linear_complexity_test runs per block.
+/// test_nist_extended pins it against a byte-per-bit textbook oracle.
 unsigned berlekamp_massey(const std::vector<std::uint8_t>& bits);
 
 // --------------------------------------------------------------- test 14 --

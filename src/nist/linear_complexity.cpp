@@ -1,43 +1,110 @@
 #include "nist/extended_tests.hpp"
 #include "nist/special_functions.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace otf::nist {
 
-unsigned berlekamp_massey(const std::vector<std::uint8_t>& bits)
+namespace {
+
+/// Word buffers of Berlekamp-Massey, reused across the blocks of one test.
+/// Bit j of word j/64 is coefficient j of C(x) and B(x).
+struct bm_words {
+    std::vector<std::uint64_t> reversed; ///< the block, back to front
+    std::vector<std::uint64_t> c;
+    std::vector<std::uint64_t> b;
+    std::vector<std::uint64_t> t;
+};
+
+/// Pack an n-bit block back to front (bit k is s_{n-1-k}) followed by zero
+/// words, so that the window s_i, s_{i-1}, ..., s_{i-L} is the bit run that
+/// starts at offset n-1-i.
+template <class Bit>
+void pack_reversed(std::size_t n, Bit bit, std::vector<std::uint64_t>& out)
 {
-    const std::size_t n = bits.size();
-    std::vector<std::uint8_t> c(n + 1, 0);
-    std::vector<std::uint8_t> b(n + 1, 0);
-    std::vector<std::uint8_t> t;
-    c[0] = 1;
-    b[0] = 1;
-    unsigned l = 0;
-    std::int64_t m = -1;
+    out.assign(n / 64 + 2, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+        out[k / 64] |= std::uint64_t{bit(n - 1 - k)} << (k % 64);
+    }
+}
+
+/// Berlekamp-Massey over GF(2) on the packed block in `w.reversed`.  The
+/// discrepancy s_i + sum_{j=1..L} c_j s_{i-j} is the parity of
+/// popcount(C & window) over the L/64 + 1 words that hold C (deg C <= L);
+/// the update C += x^(i-m) B is a word shift-XOR over the words of B
+/// (deg B <= the L it was copied at), and C is copied only when L grows.
+unsigned packed_berlekamp_massey(std::size_t n, bm_words& w)
+{
+    const std::uint64_t* const s = w.reversed.data();
+    const std::size_t words = n / 64 + 2;
+    w.c.assign(words, 0);
+    w.b.assign(words, 0);
+    w.t.resize(words);
+    w.c[0] = 1;
+    w.b[0] = 1;
+    std::size_t l = 0;
+    std::size_t l_b = 0; // the L at which B was copied
+    std::size_t m_next = 0; // m + 1, m being the last i where L grew (-1)
     for (std::size_t i = 0; i < n; ++i) {
-        // Discrepancy d = s_i + sum_{j=1..L} c_j s_{i-j}  (mod 2).
-        std::uint8_t d = bits[i];
-        for (unsigned j = 1; j <= l; ++j) {
-            d = static_cast<std::uint8_t>(d ^ (c[j] & bits[i - j]));
+        const std::size_t first = n - 1 - i;
+        const std::uint64_t* const window = s + first / 64;
+        const unsigned off = static_cast<unsigned>(first % 64);
+        const std::size_t c_words = l / 64 + 1;
+        std::uint64_t acc = 0;
+        if (off == 0) {
+            for (std::size_t k = 0; k < c_words; ++k) {
+                acc ^= w.c[k] & window[k];
+            }
+        } else {
+            for (std::size_t k = 0; k < c_words; ++k) {
+                acc ^= w.c[k]
+                    & ((window[k] >> off) | (window[k + 1] << (64 - off)));
+            }
         }
-        if (d == 0) {
+        if ((std::popcount(acc) & 1) == 0) {
             continue;
         }
-        t = c;
-        const std::size_t shift =
-            static_cast<std::size_t>(static_cast<std::int64_t>(i) - m);
-        for (std::size_t j = 0; j + shift <= n; ++j) {
-            c[j + shift] = static_cast<std::uint8_t>(c[j + shift] ^ b[j]);
+        const bool grows = 2 * l <= i;
+        if (grows) {
+            std::copy_n(w.c.begin(), c_words, w.t.begin());
         }
-        if (2 * l <= i) {
-            l = static_cast<unsigned>(i + 1 - l);
-            m = static_cast<std::int64_t>(i);
-            b = t;
+        const std::size_t shift = i + 1 - m_next;
+        const std::size_t word_shift = shift / 64;
+        const unsigned bit_shift = static_cast<unsigned>(shift % 64);
+        const std::size_t b_words = l_b / 64 + 1;
+        std::uint64_t* const dst = w.c.data() + word_shift;
+        if (bit_shift == 0) {
+            for (std::size_t k = 0; k < b_words; ++k) {
+                dst[k] ^= w.b[k];
+            }
+        } else {
+            for (std::size_t k = 0; k < b_words; ++k) {
+                dst[k] ^= w.b[k] << bit_shift;
+                dst[k + 1] ^= w.b[k] >> (64 - bit_shift);
+            }
+        }
+        if (grows) {
+            l_b = l;
+            l = i + 1 - l;
+            m_next = i + 1;
+            std::swap(w.b, w.t);
         }
     }
-    return l;
+    return static_cast<unsigned>(l);
+}
+
+} // namespace
+
+unsigned berlekamp_massey(const std::vector<std::uint8_t>& bits)
+{
+    bm_words w;
+    pack_reversed(bits.size(), [&](std::size_t i) { return bits[i] & 1u; },
+                  w.reversed);
+    return packed_berlekamp_massey(bits.size(), w);
 }
 
 linear_complexity_result linear_complexity_test(const bit_sequence& seq,
@@ -68,14 +135,14 @@ linear_complexity_result linear_complexity_test(const bit_sequence& seq,
     const double xi = m_len / 2.0 + (9.0 - sign_m) / 36.0
         - (m_len / 3.0 + 2.0 / 9.0) / std::ldexp(1.0, (int)block_length);
 
-    std::vector<std::uint8_t> block(block_length);
+    bm_words w;
     for (std::uint64_t b = 0; b < blocks; ++b) {
         const std::size_t base =
             static_cast<std::size_t>(b) * block_length;
-        for (unsigned j = 0; j < block_length; ++j) {
-            block[j] = seq[base + j] ? 1 : 0;
-        }
-        const unsigned l = berlekamp_massey(block);
+        pack_reversed(block_length,
+                      [&](std::size_t i) { return seq[base + i] ? 1u : 0u; },
+                      w.reversed);
+        const unsigned l = packed_berlekamp_massey(block_length, w);
         const double t =
             sign_m * (static_cast<double>(l) - xi) + 2.0 / 9.0;
         unsigned category;

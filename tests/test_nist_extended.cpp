@@ -1,8 +1,11 @@
 // Tests of the six extended NIST tests (the paper's future-work coverage
 // of the remaining suite): GF(2) rank against exhaustive enumeration,
-// FFT (radix-2 and Bluestein) against a direct DFT at every length up to
-// 300 and at odd lengths up to 4095, Berlekamp-Massey against known
-// LFSRs, the universal statistic against the SP 800-22 worked example,
+// FFT (real-input radix-2 and Bluestein) against a direct DFT at every
+// length up to 300, every power of two up to 2^13 and odd lengths up to
+// 4095, the Bluestein plan cache against cold calls (and from several
+// threads at once), the word-packed Berlekamp-Massey against a
+// byte-per-bit oracle and known LFSRs, the universal statistic against the
+// SP 800-22 worked example,
 // excursion probabilities against their closed forms, and
 // defect-detection properties for each test.
 #include "base/json.hpp"
@@ -10,6 +13,7 @@
 #include "nist/extended_tests.hpp"
 #include "nist/fft.hpp"
 #include "nist/gf2.hpp"
+#include "nist/special_functions.hpp"
 #include "trng/sources.hpp"
 
 #include <algorithm>
@@ -19,6 +23,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -135,7 +141,7 @@ void expect_matches_direct_dft(std::size_t n, std::uint64_t seed)
     for (std::size_t i = 0; i < n; ++i) {
         x[i] = bits[i] ? 1.0 : -1.0;
     }
-    const std::vector<double> fast = dft_magnitudes(x);
+    const std::vector<double> fast = dft_magnitudes(bits);
     const std::vector<double> direct = direct_dft_magnitudes(x);
     ASSERT_EQ(fast.size(), direct.size()) << "n=" << n;
     const double tolerance = 1e-9 * std::sqrt(static_cast<double>(n));
@@ -175,10 +181,85 @@ TEST(fft, matches_direct_dft_at_odd_and_prime_lengths)
     }
 }
 
+TEST(fft, matches_direct_dft_at_every_power_of_two)
+{
+    // The real-input path: n/2-point complex FFT plus one split pass.
+    for (std::size_t n = 2; n <= 8192; n *= 2) {
+        expect_matches_direct_dft(n, 3000 + n);
+    }
+}
+
+/// dft_magnitudes on a fresh thread, whose Bluestein plan cache is empty.
+std::vector<double> cold_dft_magnitudes(const bit_sequence& bits)
+{
+    std::vector<double> out;
+    std::thread([&] { out = dft_magnitudes(bits); }).join();
+    return out;
+}
+
+TEST(fft, bluestein_plan_cache_is_bit_identical_to_cold_calls)
+{
+    // Hits, a prime length, more than 8 distinct lengths (so 384 and 640
+    // are evicted and rebuilt), one length too large to cache (m = 2^17)
+    // and power-of-two lengths (no plan) in between.
+    std::vector<std::size_t> lengths = {384, 640, 384, 1021, 384};
+    for (std::size_t n = 100; n <= 1200; n += 100) {
+        lengths.push_back(n);
+    }
+    for (const std::size_t n : {384u, 640u, 40000u, 1024u, 640u, 384u}) {
+        lengths.push_back(n);
+    }
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+        trng::ideal_source src(4000 + i);
+        const bit_sequence bits = src.generate(lengths[i]);
+        EXPECT_TRUE(dft_magnitudes(bits) == cold_dft_magnitudes(bits))
+            << "call " << i << " n=" << lengths[i];
+    }
+}
+
+TEST(fft, threads_with_own_plan_caches_match_single_thread_output)
+{
+    // Four threads interleave Bluestein and radix-2 lengths, each through
+    // its own plan cache; every result must equal the single-thread one.
+    const std::vector<std::size_t> lengths = {384, 640, 768, 896, 1021,
+                                              1024, 384, 3000, 640, 4096};
+    std::vector<bit_sequence> inputs;
+    std::vector<std::vector<double>> expected;
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+        trng::ideal_source src(5000 + i);
+        inputs.push_back(src.generate(lengths[i]));
+        expected.push_back(dft_magnitudes(inputs.back()));
+    }
+    constexpr unsigned threads = 4;
+    constexpr unsigned rounds = 3;
+    std::vector<std::vector<std::vector<double>>> got(
+        threads, std::vector<std::vector<double>>(rounds * lengths.size()));
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            for (std::size_t r = 0; r < got[t].size(); ++r) {
+                // Each thread walks the lengths from its own offset.
+                const std::size_t i = (r + 3 * t) % lengths.size();
+                got[t][r] = dft_magnitudes(inputs[i]);
+            }
+        });
+    }
+    for (std::thread& th : pool) {
+        th.join();
+    }
+    for (unsigned t = 0; t < threads; ++t) {
+        for (std::size_t r = 0; r < got[t].size(); ++r) {
+            const std::size_t i = (r + 3 * t) % lengths.size();
+            EXPECT_TRUE(got[t][r] == expected[i])
+                << "thread " << t << " call " << r << " n=" << lengths[i];
+        }
+    }
+}
+
 TEST(fft, empty_and_single_sample_inputs)
 {
-    EXPECT_TRUE(dft_magnitudes({}).empty());
-    EXPECT_TRUE(dft_magnitudes({1.0}).empty());
+    EXPECT_TRUE(dft_magnitudes(bit_sequence{}).empty());
+    EXPECT_TRUE(dft_magnitudes(bit_sequence(1, true)).empty());
 }
 
 TEST(fft, rejects_non_power_of_two)
@@ -240,6 +321,70 @@ TEST(universal, rejects_too_short_input)
 }
 
 // ------------------------------------------------------- linear complexity --
+/// Byte-per-bit Berlekamp-Massey, the textbook loop: the oracle for the
+/// library's word-packed one.
+unsigned oracle_berlekamp_massey(const std::vector<std::uint8_t>& bits)
+{
+    const std::size_t n = bits.size();
+    std::vector<std::uint8_t> c(n + 1, 0);
+    std::vector<std::uint8_t> b(n + 1, 0);
+    std::vector<std::uint8_t> t;
+    c[0] = 1;
+    b[0] = 1;
+    unsigned l = 0;
+    std::int64_t m = -1;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Discrepancy d = s_i + sum_{j=1..L} c_j s_{i-j}  (mod 2).
+        std::uint8_t d = bits[i];
+        for (unsigned j = 1; j <= l; ++j) {
+            d = static_cast<std::uint8_t>(d ^ (c[j] & bits[i - j]));
+        }
+        if (d == 0) {
+            continue;
+        }
+        t = c;
+        const std::size_t shift =
+            static_cast<std::size_t>(static_cast<std::int64_t>(i) - m);
+        for (std::size_t j = 0; j + shift <= n; ++j) {
+            c[j + shift] = static_cast<std::uint8_t>(c[j + shift] ^ b[j]);
+        }
+        if (2 * l <= i) {
+            l = static_cast<unsigned>(i + 1 - l);
+            m = static_cast<std::int64_t>(i);
+            b = t;
+        }
+    }
+    return l;
+}
+
+std::vector<std::uint8_t> random_block(std::size_t n, std::uint64_t seed)
+{
+    trng::ideal_source src(seed);
+    const bit_sequence bits = src.generate(n);
+    return {bits.begin(), bits.end()};
+}
+
+/// n bits of the LFSR s_i = sum_{j=1..d} taps_j s_{i-j} whose feedback
+/// polynomial has degree d (taps_d = 1), started from the impulse state
+/// 0...01: no shorter LFSR produces d-1 zeros and then a one, so its linear
+/// complexity is exactly d at every length n >= d.
+std::vector<std::uint8_t> lfsr_impulse_stream(unsigned degree, std::size_t n,
+                                              std::uint64_t seed)
+{
+    std::vector<std::uint8_t> taps = random_block(degree + 1, seed);
+    taps[degree] = 1; // taps[j] for j = 1..degree; taps[0] is unused
+    std::vector<std::uint8_t> s(n, 0);
+    s[degree - 1] = 1;
+    for (std::size_t i = degree; i < n; ++i) {
+        std::uint8_t next = 0;
+        for (unsigned j = 1; j <= degree; ++j) {
+            next = static_cast<std::uint8_t>(next ^ (taps[j] & s[i - j]));
+        }
+        s[i] = next;
+    }
+    return s;
+}
+
 TEST(berlekamp_massey, known_small_cases)
 {
     // SP 800-22 2.10.4 example: 1101011110001 has L = 4.
@@ -266,6 +411,102 @@ TEST(berlekamp_massey, lfsr_sequence_has_its_degree)
         state.push_back(feedback);
     }
     EXPECT_EQ(berlekamp_massey(stream), 4u);
+}
+
+TEST(berlekamp_massey, matches_byte_oracle_at_every_length)
+{
+    for (std::size_t n = 4; n <= 600; ++n) {
+        std::vector<std::uint8_t> alternating(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            alternating[i] = static_cast<std::uint8_t>(i % 2);
+        }
+        const std::pair<const char*, std::vector<std::uint8_t>> blocks[] = {
+            {"random", random_block(n, 6000 + n)},
+            {"zeros", std::vector<std::uint8_t>(n, 0)},
+            {"ones", std::vector<std::uint8_t>(n, 1)},
+            {"alternating", alternating},
+        };
+        for (const auto& [name, block] : blocks) {
+            ASSERT_EQ(berlekamp_massey(block), oracle_berlekamp_massey(block))
+                << "n=" << n << " " << name;
+        }
+    }
+}
+
+TEST(berlekamp_massey, lfsr_of_every_degree_up_to_64)
+{
+    for (unsigned degree = 1; degree <= 64; ++degree) {
+        const auto stream = lfsr_impulse_stream(degree, 500, 7000 + degree);
+        EXPECT_EQ(berlekamp_massey(stream), degree) << "degree " << degree;
+        EXPECT_EQ(oracle_berlekamp_massey(stream), degree)
+            << "degree " << degree;
+    }
+}
+
+TEST(berlekamp_massey, word_boundary_lengths)
+{
+    // C, B and the window cross a 64-bit word at these lengths and degrees.
+    for (const std::size_t n : {63u, 64u, 65u, 127u, 128u, 129u}) {
+        const std::vector<std::uint8_t> random = random_block(n, 8000 + n);
+        EXPECT_EQ(berlekamp_massey(random), oracle_berlekamp_massey(random))
+            << "n=" << n;
+        std::vector<std::uint8_t> impulse(n, 0);
+        impulse[n - 1] = 1;
+        EXPECT_EQ(berlekamp_massey(impulse), n) << "n=" << n;
+        const unsigned degree = static_cast<unsigned>(n);
+        const auto stream =
+            lfsr_impulse_stream(degree, 2 * n + 50, 9000 + n);
+        EXPECT_EQ(berlekamp_massey(stream), degree) << "degree " << degree;
+        EXPECT_EQ(oracle_berlekamp_massey(stream), degree)
+            << "degree " << degree;
+    }
+}
+
+TEST(linear_complexity_test, matches_oracle_recomputation_at_full_length)
+{
+    // The supervisor confirms on 8 windows of n = 65536; recompute nu, chi^2
+    // and P with the byte oracle and the same arithmetic: exact equality.
+    static const double pi[7] = {0.010417, 0.03125, 0.125, 0.5,
+                                 0.25,     0.0625,  0.020833};
+    constexpr unsigned m_len = 500;
+    const double sign_m = 1.0;
+    const double xi = m_len / 2.0 + (9.0 - sign_m) / 36.0
+        - (m_len / 3.0 + 2.0 / 9.0) / std::ldexp(1.0, (int)m_len);
+    for (const std::uint64_t seed : {11u, 12u}) {
+        trng::ideal_source src(seed);
+        const bit_sequence seq = src.generate(524288);
+        const auto r = linear_complexity_test(seq, m_len);
+
+        std::vector<std::uint64_t> nu(7, 0);
+        const std::size_t blocks = seq.size() / m_len;
+        for (std::size_t b = 0; b < blocks; ++b) {
+            std::vector<std::uint8_t> block(m_len);
+            for (unsigned j = 0; j < m_len; ++j) {
+                block[j] = seq[b * m_len + j] ? 1 : 0;
+            }
+            const double t =
+                sign_m
+                    * (static_cast<double>(oracle_berlekamp_massey(block))
+                       - xi)
+                + 2.0 / 9.0;
+            const double edges[6] = {-2.5, -1.5, -0.5, 0.5, 1.5, 2.5};
+            unsigned category = 0;
+            while (category < 6 && t > edges[category]) {
+                ++category;
+            }
+            ++nu[category];
+        }
+        double chi = 0.0;
+        for (unsigned c = 0; c < 7; ++c) {
+            const double expected = static_cast<double>(blocks) * pi[c];
+            const double dev = static_cast<double>(nu[c]) - expected;
+            chi += dev * dev / expected;
+        }
+        EXPECT_EQ(r.blocks, blocks) << "seed " << seed;
+        EXPECT_TRUE(r.nu == nu) << "seed " << seed;
+        EXPECT_EQ(r.chi_squared, chi) << "seed " << seed;
+        EXPECT_EQ(r.p_value, igamc(3.0, chi / 2.0)) << "seed " << seed;
+    }
 }
 
 TEST(linear_complexity_test, healthy_source_passes)
