@@ -4,8 +4,11 @@
 // The TRNG delivers one bit per clock; the hardware models consume bits one
 // at a time; the reference NIST implementations and the golden models in the
 // test suite work on whole sequences.  `bit_sequence` is the common currency:
-// a simple dynamic array of bits with the few bulk operations the statistical
-// tests need (population count, slicing, parsing from ASCII).
+// a dynamic array of bits stored as the same LSB-first packed 64-bit words
+// the span lane, the evidence ring and the WAL use, with the few bulk
+// operations the statistical tests need (population count, slicing,
+// parsing from ASCII) and a read-only view of the words for the offline
+// battery's word kernels.
 //
 // `otf::bits` holds the portable kernel primitives behind the span ingestion
 // lane (engine::consume_span) and the bit-sliced fleet lane
@@ -31,142 +34,6 @@
 #endif
 
 namespace otf {
-
-class bit_sequence {
-public:
-    bit_sequence() = default;
-    explicit bit_sequence(std::size_t n, bool value = false)
-        : bits_(n, value ? 1 : 0)
-    {
-    }
-
-    /// Parse from ASCII; accepts '0'/'1' and ignores whitespace.
-    static bit_sequence from_string(std::string_view text)
-    {
-        bit_sequence seq;
-        seq.bits_.reserve(text.size());
-        for (const char c : text) {
-            if (c == '0' || c == '1') {
-                seq.bits_.push_back(c == '1' ? 1 : 0);
-            } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
-                continue;
-            } else {
-                throw std::invalid_argument(
-                    "bit_sequence: invalid character in bit string");
-            }
-        }
-        return seq;
-    }
-
-    void push_back(bool bit) { bits_.push_back(bit ? 1 : 0); }
-    void reserve(std::size_t n) { bits_.reserve(n); }
-    void clear() { bits_.clear(); }
-
-    bool operator[](std::size_t i) const { return bits_[i] != 0; }
-    bool at(std::size_t i) const { return bits_.at(i) != 0; }
-    void set(std::size_t i, bool v) { bits_.at(i) = v ? 1 : 0; }
-
-    std::size_t size() const { return bits_.size(); }
-    bool empty() const { return bits_.empty(); }
-
-    /// Number of ones in the whole sequence.
-    std::size_t count_ones() const
-    {
-        std::size_t total = 0;
-        for (const std::uint8_t b : bits_) {
-            total += b;
-        }
-        return total;
-    }
-
-    /// Copy of bits [first, first + length).
-    bit_sequence slice(std::size_t first, std::size_t length) const
-    {
-        if (first + length > bits_.size()) {
-            throw std::out_of_range("bit_sequence::slice out of range");
-        }
-        bit_sequence out;
-        out.bits_.assign(bits_.begin() + static_cast<std::ptrdiff_t>(first),
-                         bits_.begin()
-                             + static_cast<std::ptrdiff_t>(first + length));
-        return out;
-    }
-
-    /// The m-bit pattern value starting at `pos`, reading the sequence
-    /// cyclically (NIST serial / approximate-entropy convention), MSB first.
-    std::uint32_t cyclic_window(std::size_t pos, unsigned m) const
-    {
-        std::uint32_t v = 0;
-        for (unsigned j = 0; j < m; ++j) {
-            v = (v << 1) | ((*this)[(pos + j) % size()] ? 1u : 0u);
-        }
-        return v;
-    }
-
-    /// Pack the sequence into 64-bit words for the span fast lane: bit i
-    /// of word j is bit 64*j + i of the sequence (LSB-first stream order,
-    /// the convention of engine::consume_span).  Bits past
-    /// the end of a partial final word are zero.
-    std::vector<std::uint64_t> to_words() const
-    {
-        std::vector<std::uint64_t> words((bits_.size() + 63) / 64, 0);
-        for (std::size_t i = 0; i < bits_.size(); ++i) {
-            words[i / 64] |= static_cast<std::uint64_t>(bits_[i])
-                << (i % 64);
-        }
-        return words;
-    }
-
-    /// Append the first `nbits` bits of a packed span (to_words() order):
-    /// one resize, then 64 bits per source word.
-    void append_words(std::span<const std::uint64_t> words, std::size_t nbits)
-    {
-        if (nbits > words.size() * 64) {
-            throw std::out_of_range(
-                "bit_sequence::append_words: nbits exceeds the word buffer");
-        }
-        const std::size_t first = bits_.size();
-        bits_.resize(first + nbits);
-        std::uint8_t* out = bits_.data() + first;
-        const std::size_t full = nbits / 64;
-        for (std::size_t w = 0; w < full; ++w, out += 64) {
-            const std::uint64_t word = words[w];
-            for (unsigned i = 0; i < 64; ++i) {
-                out[i] = static_cast<std::uint8_t>((word >> i) & 1u);
-            }
-        }
-        for (unsigned i = 0; i < nbits % 64; ++i) {
-            out[i] = static_cast<std::uint8_t>((words[full] >> i) & 1u);
-        }
-    }
-
-    /// Inverse of to_words(): the first `nbits` packed bits as a sequence.
-    static bit_sequence from_words(const std::vector<std::uint64_t>& words,
-                                   std::size_t nbits)
-    {
-        bit_sequence seq;
-        seq.append_words(words, nbits);
-        return seq;
-    }
-
-    std::string to_string() const
-    {
-        std::string s;
-        s.reserve(bits_.size());
-        for (const std::uint8_t b : bits_) {
-            s.push_back(b ? '1' : '0');
-        }
-        return s;
-    }
-
-    friend bool operator==(const bit_sequence&, const bit_sequence&) = default;
-
-    auto begin() const { return bits_.begin(); }
-    auto end() const { return bits_.end(); }
-
-private:
-    std::vector<std::uint8_t> bits_;
-};
 
 namespace bits {
 
@@ -211,6 +78,30 @@ inline std::uint64_t low_mask(unsigned nbits)
 {
     return nbits >= 64 ? ~std::uint64_t{0}
                        : (std::uint64_t{1} << nbits) - 1;
+}
+
+/// \brief The 64 bits that start at bit offset `pos` of a packed span
+/// (LSB-first: bit k of the result is bit pos + k of the span), zero past
+/// the span's last word.
+inline std::uint64_t read64(std::span<const std::uint64_t> words,
+                            std::size_t pos)
+{
+    const std::size_t w = pos / 64;
+    const unsigned off = static_cast<unsigned>(pos % 64);
+    const std::uint64_t lo = w < words.size() ? words[w] >> off : 0;
+    const std::uint64_t hi = off != 0 && w + 1 < words.size()
+        ? words[w + 1] << (64 - off)
+        : 0;
+    return lo | hi;
+}
+
+/// \brief Bit reversal of a 64-bit word (bit k moves to bit 63 - k).
+inline std::uint64_t reverse64(std::uint64_t x)
+{
+    x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+    x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+    x = ((x >> 4) & 0x0f0f0f0f0f0f0f0full) | ((x & 0x0f0f0f0f0f0f0f0full) << 4);
+    return __builtin_bswap64(x);
 }
 
 /// \brief OR the low `nbits` bits of `value` into a packed span at bit
@@ -529,5 +420,174 @@ inline void transpose_64x64(std::uint64_t m[64])
 }
 
 } // namespace bits
+
+/// \brief A dynamic bit array stored as LSB-first packed 64-bit words: bit
+/// i is bit i % 64 of word i / 64, the convention of the span lane, the
+/// evidence ring and the WAL.  Bits past size() in the last word are
+/// always zero, so the defaulted == compares sequences bit for bit.
+class bit_sequence {
+public:
+    bit_sequence() = default;
+    explicit bit_sequence(std::size_t n, bool value = false)
+        : words_((n + 63) / 64, value ? ~std::uint64_t{0} : 0), size_(n)
+    {
+        clear_tail();
+    }
+
+    /// Parse from ASCII; accepts '0'/'1' and ignores whitespace.
+    static bit_sequence from_string(std::string_view text)
+    {
+        bit_sequence seq;
+        seq.reserve(text.size());
+        for (const char c : text) {
+            if (c == '0' || c == '1') {
+                seq.push_back(c == '1');
+            } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+                continue;
+            } else {
+                throw std::invalid_argument(
+                    "bit_sequence: invalid character in bit string");
+            }
+        }
+        return seq;
+    }
+
+    void push_back(bool bit)
+    {
+        if (size_ % 64 == 0) {
+            words_.push_back(0);
+        }
+        words_.back() |= static_cast<std::uint64_t>(bit) << (size_ % 64);
+        ++size_;
+    }
+    void reserve(std::size_t n) { words_.reserve((n + 63) / 64); }
+    void clear()
+    {
+        words_.clear();
+        size_ = 0;
+    }
+
+    bool operator[](std::size_t i) const
+    {
+        return ((words_[i / 64] >> (i % 64)) & 1u) != 0;
+    }
+    bool at(std::size_t i) const
+    {
+        check_index(i);
+        return (*this)[i];
+    }
+    void set(std::size_t i, bool v)
+    {
+        check_index(i);
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        words_[i / 64] = v ? words_[i / 64] | bit : words_[i / 64] & ~bit;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /// The packed words (size() bits, zero past the end): what the word
+    /// kernels of the offline battery read.
+    std::span<const std::uint64_t> words() const { return words_; }
+
+    /// Number of ones in the whole sequence.
+    std::size_t count_ones() const
+    {
+        std::size_t total = 0;
+        for (const std::uint64_t w : words_) {
+            total += static_cast<std::size_t>(std::popcount(w));
+        }
+        return total;
+    }
+
+    /// Copy of bits [first, first + length).
+    bit_sequence slice(std::size_t first, std::size_t length) const
+    {
+        if (first > size_ || length > size_ - first) {
+            throw std::out_of_range("bit_sequence::slice out of range");
+        }
+        bit_sequence out;
+        out.words_.resize((length + 63) / 64);
+        for (std::size_t j = 0; j < out.words_.size(); ++j) {
+            out.words_[j] = bits::read64(words_, first + 64 * j);
+        }
+        out.size_ = length;
+        out.clear_tail();
+        return out;
+    }
+
+    /// A copy of the packed words (bit i of word j is bit 64*j + i of the
+    /// sequence; bits past the end of a partial final word are zero).
+    std::vector<std::uint64_t> to_words() const { return words_; }
+
+    /// Append the first `nbits` bits of a packed span (to_words() order):
+    /// a word copy when size() is a multiple of 64, else one shift-merge
+    /// per source word.
+    void append_words(std::span<const std::uint64_t> words, std::size_t nbits)
+    {
+        if (nbits > words.size() * 64) {
+            throw std::out_of_range(
+                "bit_sequence::append_words: nbits exceeds the word buffer");
+        }
+        const std::size_t nwords = (nbits + 63) / 64;
+        const unsigned off = static_cast<unsigned>(size_ % 64);
+        const std::size_t first = words_.size();
+        words_.resize((size_ + nbits + 63) / 64);
+        if (off == 0) {
+            for (std::size_t j = 0; j < nwords; ++j) {
+                words_[first + j] = words[j];
+            }
+        } else {
+            for (std::size_t j = 0; j < nwords; ++j) {
+                words_[first - 1 + j] |= words[j] << off;
+                if (first + j < words_.size()) {
+                    words_[first + j] = words[j] >> (64 - off);
+                }
+            }
+        }
+        size_ += nbits;
+        clear_tail();
+    }
+
+    /// Inverse of to_words(): the first `nbits` packed bits as a sequence.
+    static bit_sequence from_words(std::span<const std::uint64_t> words,
+                                   std::size_t nbits)
+    {
+        bit_sequence seq;
+        seq.append_words(words, nbits);
+        return seq;
+    }
+
+    std::string to_string() const
+    {
+        std::string s;
+        s.reserve(size_);
+        for (std::size_t i = 0; i < size_; ++i) {
+            s.push_back((*this)[i] ? '1' : '0');
+        }
+        return s;
+    }
+
+    friend bool operator==(const bit_sequence&, const bit_sequence&) = default;
+
+private:
+    void check_index(std::size_t i) const
+    {
+        if (i >= size_) {
+            throw std::out_of_range("bit_sequence: index out of range");
+        }
+    }
+
+    /// Zero the bits past size() in the last word.
+    void clear_tail()
+    {
+        if (size_ % 64 != 0) {
+            words_.back() &= bits::low_mask(static_cast<unsigned>(size_ % 64));
+        }
+    }
+
+    std::vector<std::uint64_t> words_;
+    std::size_t size_ = 0;
+};
 
 } // namespace otf

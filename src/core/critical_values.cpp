@@ -11,18 +11,44 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace otf::core {
+
+std::int64_t q_round(double v, unsigned fraction_bits)
+{
+    const double scaled = v * std::ldexp(1.0, static_cast<int>(fraction_bits));
+    // [-2^63, 2^63): the doubles whose rounding fits in int64.
+    constexpr double limit = 9223372036854775808.0;
+    if (!std::isfinite(scaled) || scaled < -limit || scaled >= limit - 0.5) {
+        throw std::domain_error(
+            "q_round: value not representable as a 64-bit fixed-point "
+            "constant");
+    }
+    return static_cast<std::int64_t>(std::llround(scaled));
+}
 
 namespace {
 
 using hw::test_id;
 
-std::int64_t q_round(double v, unsigned fraction_bits)
+/// The Q12 weights round(2^12 / pi_i) of a chi-squared statistic.
+/// \throws std::domain_error on a zero category probability
+std::vector<std::int64_t> chi_squared_weights(const std::vector<double>& pi,
+                                              const char* test)
 {
-    return static_cast<std::int64_t>(
-        std::llround(v * std::ldexp(1.0, static_cast<int>(fraction_bits))));
+    std::vector<std::int64_t> weights;
+    for (const double p : pi) {
+        if (!(p > 0.0)) {
+            throw std::domain_error(
+                std::string("compute_critical_values: ") + test
+                + " has a category of probability zero at this block "
+                  "length");
+        }
+        weights.push_back(q_round(1.0 / p, weight_fraction_bits));
+    }
+    return weights;
 }
 
 /// The approximate-entropy statistic the platform *implements* is the PWL
@@ -218,11 +244,7 @@ critical_values compute_critical_values(const hw::block_config& cfg,
             m, cfg.lr_v_lo, cfg.lr_v_hi);
         const double dof = static_cast<double>(pi.size()) - 1.0;
         const double crit = nist::chi_squared_critical(dof, alpha);
-        cv.t4_weights_q.clear();
-        for (const double p : pi) {
-            cv.t4_weights_q.push_back(
-                q_round(1.0 / p, weight_fraction_bits));
-        }
+        cv.t4_weights_q = chi_squared_weights(pi, "longest run");
         // chi^2 = (1/N) sum nu^2 / pi - N  <=>
         // sum nu^2 (2^q / pi) <= 2^q N (crit + N)
         cv.t4_sum_bound = q_round(
@@ -252,11 +274,7 @@ critical_values compute_critical_values(const hw::block_config& cfg,
                 1u << cfg.t8_log2_m, cfg.t8_max_count);
         const double dof = static_cast<double>(cfg.t8_max_count);
         const double crit = nist::chi_squared_critical(dof, alpha);
-        cv.t8_weights_q.clear();
-        for (const double p : pi) {
-            cv.t8_weights_q.push_back(
-                q_round(1.0 / p, weight_fraction_bits));
-        }
+        cv.t8_weights_q = chi_squared_weights(pi, "overlapping template");
         cv.t8_sum_bound = q_round(
             static_cast<double>(blocks)
                 * (crit + static_cast<double>(blocks)),

@@ -23,6 +23,12 @@ namespace otf::core {
 /// Fixed-point scale used for the 1/pi chi-squared weights (Q12).
 inline constexpr unsigned weight_fraction_bits = 12;
 
+/// \brief round(v * 2^fraction_bits) as a signed 64-bit constant.
+/// \throws std::domain_error when v is infinite or NaN, or the scaled
+///         value does not fit in int64 (llround would return a sentinel
+///         that later trips a width check far from the cause)
+std::int64_t q_round(double v, unsigned fraction_bits);
+
 /// One N_ones interval of the runs test with its stored run-count bounds
 /// (the paper: "critical values for the N_runs are stored in the program
 /// memory as constants and they depend on the N_ones").
@@ -90,6 +96,9 @@ struct critical_values {
 /// \param runs_intervals N_ones quantization of the runs test's
 ///                       stored-constant table
 /// \return integer-scaled acceptance bounds for the embedded software
+/// \throws std::domain_error when a longest-run or overlapping-template
+///         category has probability zero at the configured block length
+///         (its chi-squared weight 1/pi would be infinite)
 critical_values compute_critical_values(const hw::block_config& cfg,
                                         double alpha,
                                         unsigned runs_intervals = 32);

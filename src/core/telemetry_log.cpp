@@ -315,11 +315,7 @@ confirmation_result confirm_from_ring(
     }
     seq.reserve(total_words * 64);
     for (const std::vector<std::uint64_t>* words : ring) {
-        for (const std::uint64_t word : *words) {
-            for (unsigned i = 0; i < 64; ++i) {
-                seq.push_back(((word >> i) & 1u) != 0);
-            }
-        }
+        seq.append_words(*words, words->size() * 64);
         ++conf.evidence_windows;
     }
     conf.evidence_bits = seq.size();

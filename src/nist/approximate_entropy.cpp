@@ -32,8 +32,10 @@ approximate_entropy_result approximate_entropy_test(const bit_sequence& seq,
     }
     approximate_entropy_result r;
     r.m = m;
-    r.nu_m = cyclic_pattern_counts(seq, m);
+    // One pass over the words for the (m+1)-bit counts; the m-bit ones
+    // are their marginal.
     r.nu_m1 = cyclic_pattern_counts(seq, m + 1);
+    r.nu_m = cyclic_pattern_marginal(r.nu_m1);
     const std::size_t n = seq.size();
     r.phi_m = phi(r.nu_m, n);
     r.phi_m1 = phi(r.nu_m1, n);

@@ -19,12 +19,10 @@ block_frequency_result block_frequency_test(const bit_sequence& seq,
     block_frequency_result r;
     r.block_count = static_cast<unsigned>(block_count);
     r.ones.reserve(block_count);
+    const std::uint64_t* const words = seq.words().data();
     for (std::size_t b = 0; b < block_count; ++b) {
-        std::uint64_t ones = 0;
-        for (std::size_t i = 0; i < block_length; ++i) {
-            ones += seq[b * block_length + i] ? 1u : 0u;
-        }
-        r.ones.push_back(ones);
+        r.ones.push_back(
+            bits::range_popcount(words, b * block_length, block_length));
     }
     // chi^2 = 4 M sum (pi_i - 1/2)^2, with pi_i = ones_i / M.
     double chi = 0.0;

@@ -43,11 +43,25 @@ cumulative_sums_result cumulative_sums_test(const bit_sequence& seq)
     if (seq.empty()) {
         throw std::invalid_argument("cumulative_sums_test: empty sequence");
     }
+    // The full words through the SWAR walk kernel of the hardware cusum
+    // engine, then the partial last word bit by bit.  The walk starts at
+    // S_0 = 0, which bounds both extremes.  span_walk sums in `int`, so it
+    // walks at most 2^30 bits per call and the chunks fold in 64 bits.
+    constexpr std::size_t walk_chunk_words = std::size_t{1} << 24;
     cumulative_sums_result r;
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::size_t full = seq.size() / 64;
     std::int64_t s = 0;
     r.s_max = 0;
     r.s_min = 0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
+    for (std::size_t w = 0; w < full; w += walk_chunk_words) {
+        const bits::walk_summary walk = bits::span_walk(
+            words.data() + w, std::min(walk_chunk_words, full - w));
+        r.s_max = std::max<std::int64_t>(r.s_max, s + walk.max_prefix);
+        r.s_min = std::min<std::int64_t>(r.s_min, s + walk.min_prefix);
+        s += walk.delta;
+    }
+    for (std::size_t i = full * 64; i < seq.size(); ++i) {
         s += seq[i] ? 1 : -1;
         r.s_max = std::max(r.s_max, s);
         r.s_min = std::min(r.s_min, s);

@@ -1,5 +1,6 @@
 #include "nist/distributions.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -69,49 +70,35 @@ longest_run_categories recommended_longest_run_categories(
 
 namespace {
 
-// pattern[i] for an MSB-first template value.
-inline bool template_bit(std::uint32_t templ, unsigned m, unsigned i)
-{
-    return ((templ >> (m - 1 - i)) & 1u) != 0;
-}
-
-// KMP automaton: next[s][b] = longest prefix of the pattern that is a suffix
-// of (matched-prefix-of-length-s followed by bit b), for s in [0, m-1].
-// A transition that would reach length m is a match; matching resumes from
-// the failure state of m (overlapping occurrences).
-struct kmp_automaton {
-    std::vector<std::array<unsigned, 2>> next; // [state][bit] -> state
-    std::vector<std::array<bool, 2>> match;   // [state][bit] -> emits match?
+/// The template's prefix automaton, in flat arrays (m <= 31 states).
+/// State s < m is the length of the longest template prefix that is a
+/// suffix of the bits read so far.  Reading bit b from state s gives the
+/// string prefix_s b: it is a match when that string is the whole template
+/// (s + 1 = m), and the next state is the longest template prefix shorter
+/// than m that is a suffix of it, so overlapping occurrences are counted.
+/// Each transition is found by comparing the string's low k bits with the
+/// template's top k bits for k from the longest candidate down: integer
+/// compares only, no failure-function chains.
+struct prefix_automaton {
+    std::array<std::array<std::uint8_t, 2>, 32> next{};
+    std::array<std::array<std::uint8_t, 2>, 32> match{};
 };
 
-kmp_automaton build_kmp(std::uint32_t templ, unsigned m)
+prefix_automaton build_prefix_automaton(std::uint32_t templ, unsigned m)
 {
-    std::vector<unsigned> fail(m + 1, 0);
-    for (unsigned i = 1; i < m; ++i) {
-        unsigned s = fail[i];
-        const bool b = template_bit(templ, m, i);
-        while (s > 0 && template_bit(templ, m, s) != b) {
-            s = fail[s];
-        }
-        fail[i + 1] = (template_bit(templ, m, s) == b) ? s + 1 : 0;
-    }
-
-    kmp_automaton a;
-    a.next.assign(m, {0u, 0u});
-    a.match.assign(m, {false, false});
+    templ &= (1u << m) - 1u;
+    prefix_automaton a;
     for (unsigned s = 0; s < m; ++s) {
+        const std::uint32_t prefix = templ >> (m - s); // top s bits
         for (unsigned bit = 0; bit < 2; ++bit) {
-            const bool b = (bit == 1);
-            unsigned t = s;
-            while (t > 0 && template_bit(templ, m, t) != b) {
-                t = fail[t];
+            const std::uint32_t read = (prefix << 1) | bit; // s + 1 bits
+            a.match[s][bit] = (s + 1 == m && read == templ) ? 1 : 0;
+            unsigned k = s + 1 < m ? s + 1 : m - 1;
+            while (k > 0
+                   && (read & ((1u << k) - 1u)) != (templ >> (m - k))) {
+                --k;
             }
-            unsigned ns = (template_bit(templ, m, t) == b) ? t + 1 : 0;
-            if (ns == m) {
-                a.match[s][bit] = true;
-                ns = fail[m]; // resume from the longest border: overlapping
-            }
-            a.next[s][bit] = ns;
+            a.next[s][bit] = static_cast<std::uint8_t>(k);
         }
     }
     return a;
@@ -128,29 +115,22 @@ std::vector<double> overlapping_template_category_probs(std::uint32_t templ,
         throw std::invalid_argument(
             "overlapping_template_category_probs: m must be in [1, 31]");
     }
-    const kmp_automaton a = build_kmp(templ, m);
-    const unsigned counts = max_count + 1; // 0..max_count-1 exact, then >=
-    // dp[state][count] = probability mass.
-    std::vector<std::vector<double>> dp(m, std::vector<double>(counts, 0.0));
-    std::vector<std::vector<double>> nx(m, std::vector<double>(counts, 0.0));
-    dp[0][0] = 1.0;
+    const prefix_automaton a = build_prefix_automaton(templ, m);
+    const std::size_t counts = std::size_t{max_count} + 1; // last is ">="
+    // dp[s * counts + c] = probability of automaton state s with c matches
+    // (c capped at max_count) after `step` fair bits.
+    std::vector<double> dp(m * counts, 0.0);
+    std::vector<double> nx(m * counts, 0.0);
+    dp[0] = 1.0;
     for (unsigned step = 0; step < block_length; ++step) {
-        for (auto& row : nx) {
-            row.assign(counts, 0.0);
-        }
+        std::fill(nx.begin(), nx.end(), 0.0);
         for (unsigned s = 0; s < m; ++s) {
-            for (unsigned c = 0; c < counts; ++c) {
-                const double p = dp[s][c];
-                if (p == 0.0) {
-                    continue;
-                }
+            for (std::size_t c = 0; c < counts; ++c) {
+                const double p = dp[s * counts + c];
                 for (unsigned bit = 0; bit < 2; ++bit) {
-                    const unsigned ns = a.next[s][bit];
-                    unsigned nc = c;
-                    if (a.match[s][bit] && nc < max_count) {
-                        ++nc;
-                    }
-                    nx[ns][nc] += 0.5 * p;
+                    const std::size_t nc =
+                        a.match[s][bit] != 0 && c < max_count ? c + 1 : c;
+                    nx[a.next[s][bit] * counts + nc] += 0.5 * p;
                 }
             }
         }
@@ -158,8 +138,8 @@ std::vector<double> overlapping_template_category_probs(std::uint32_t templ,
     }
     std::vector<double> probs(counts, 0.0);
     for (unsigned s = 0; s < m; ++s) {
-        for (unsigned c = 0; c < counts; ++c) {
-            probs[c] += dp[s][c];
+        for (std::size_t c = 0; c < counts; ++c) {
+            probs[c] += dp[s * counts + c];
         }
     }
     return probs;

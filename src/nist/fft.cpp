@@ -10,12 +10,12 @@ namespace {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-/// Bit i as +1 / -1.  Arithmetic, not `bits[i] ? 1.0 : -1.0`: on random
-/// bits that branch mispredicts half the time and costs more than the
-/// transform's fill.
-double sign(const bit_sequence& bits, std::size_t i)
+/// Bit i of the packed words as +1 / -1.  Arithmetic, not
+/// `bit ? 1.0 : -1.0`: on random bits that branch mispredicts half the
+/// time and costs more than the transform's fill.
+double sign(const std::uint64_t* words, std::size_t i)
 {
-    return 2.0 * static_cast<double>(bits[i]) - 1.0;
+    return 2.0 * static_cast<double>((words[i / 64] >> (i % 64)) & 1u) - 1.0;
 }
 
 /// Step r from the bit reversal of i to that of i + 1 (n a power of two):
@@ -108,19 +108,20 @@ constexpr std::size_t twiddle_reseed_bins = 256;
 ///   X_k = E_k + W^k O_k,  W = exp(-2 pi i / n).
 /// Since E_{N-k} = conj E_k, O_{N-k} = conj O_k and W^{N-k} = -conj W^k,
 /// X_{N-k} = conj(E_k - W^k O_k): one twiddle and one pair of loads serve
-/// bins k and N-k.
-std::vector<double> real_radix2_magnitudes(const bit_sequence& bits)
+/// bins k and N-k.  Each magnitude goes to sink(bin, magnitude).
+template <class Sink>
+void real_radix2_magnitudes(const bit_sequence& bits, Sink&& sink)
 {
     const std::size_t half = bits.size() / 2;
+    const std::uint64_t* const words = bits.words().data();
     // Packed straight into bit-reversed order, so the transform skips its
     // permutation pass.
     std::vector<std::complex<double>> z(half);
     for (std::size_t k = 0, r = 0; k < half; ++k) {
-        z[k] = {sign(bits, 2 * r), sign(bits, 2 * r + 1)};
+        z[k] = {sign(words, 2 * r), sign(words, 2 * r + 1)};
         r = next_bit_reversed(r, half);
     }
     butterflies(z);
-    std::vector<double> magnitudes(half);
     const double step_angle =
         -2.0 * M_PI / static_cast<double>(bits.size());
     const double step_re = std::cos(step_angle);
@@ -144,18 +145,17 @@ std::vector<double> real_radix2_magnitudes(const bit_sequence& bits)
         const double wo_im = w_re * o_im + w_im * o_re;
         const double re = e_re + wo_re;
         const double im = e_im + wo_im;
-        magnitudes[k] = std::sqrt(re * re + im * im);
+        sink(k, std::sqrt(re * re + im * im));
         if (mirror > k) {
             const double mirror_re = e_re - wo_re;
             const double mirror_im = e_im - wo_im;
-            magnitudes[mirror] =
-                std::sqrt(mirror_re * mirror_re + mirror_im * mirror_im);
+            sink(mirror,
+                 std::sqrt(mirror_re * mirror_re + mirror_im * mirror_im));
         }
         const double next_re = w_re * step_re - w_im * step_im;
         w_im = w_re * step_im + w_im * step_re;
         w_re = next_re;
     }
-    return magnitudes;
 }
 
 /// Bluestein's chirp-z transform.  With w_j = exp(-i*pi*j^2/n),
@@ -230,15 +230,17 @@ const bluestein_plan& bluestein_plan_for(std::size_t n,
     return cache.front();
 }
 
-std::vector<double> bluestein_magnitudes(const bit_sequence& bits)
+template <class Sink>
+void bluestein_magnitudes(const bit_sequence& bits, Sink&& sink)
 {
     const std::size_t n = bits.size();
+    const std::uint64_t* const words = bits.words().data();
     bluestein_plan uncached;
     const bluestein_plan& plan = bluestein_plan_for(n, uncached);
     const std::size_t m = plan.m;
     std::vector<std::complex<double>> a(m);
     for (std::size_t j = 0; j < n; ++j) {
-        const double xj = sign(bits, j);
+        const double xj = sign(words, j);
         a[j] = {xj * plan.chirp[j].real(), xj * plan.chirp[j].imag()};
     }
     fft_radix2(a);
@@ -253,22 +255,43 @@ std::vector<double> bluestein_magnitudes(const bit_sequence& bits)
     }
     fft_radix2(a);
     const double scale = 1.0 / static_cast<double>(m);
-    std::vector<double> magnitudes(n / 2);
-    for (std::size_t k = 0; k < magnitudes.size(); ++k) {
-        magnitudes[k] = std::abs(a[k]) * scale;
+    for (std::size_t k = 0; k < n / 2; ++k) {
+        sink(k, std::abs(a[k]) * scale);
     }
-    return magnitudes;
+}
+
+/// The one transform behind both entry points.
+template <class Sink>
+void for_each_magnitude(const bit_sequence& bits, Sink&& sink)
+{
+    if (bits.size() < 2) {
+        return;
+    }
+    if (is_power_of_two(bits.size())) {
+        real_radix2_magnitudes(bits, sink);
+    } else {
+        bluestein_magnitudes(bits, sink);
+    }
 }
 
 } // namespace
 
 std::vector<double> dft_magnitudes(const bit_sequence& bits)
 {
-    if (bits.size() < 2) {
-        return {};
-    }
-    return is_power_of_two(bits.size()) ? real_radix2_magnitudes(bits)
-                                        : bluestein_magnitudes(bits);
+    std::vector<double> magnitudes(bits.size() / 2);
+    for_each_magnitude(bits, [&](std::size_t k, double magnitude) {
+        magnitudes[k] = magnitude;
+    });
+    return magnitudes;
+}
+
+std::size_t dft_count_below(const bit_sequence& bits, double threshold)
+{
+    std::size_t below = 0;
+    for_each_magnitude(bits, [&](std::size_t, double magnitude) {
+        below += magnitude < threshold ? 1 : 0;
+    });
+    return below;
 }
 
 } // namespace otf::nist

@@ -35,7 +35,12 @@ namespace otf::nist {
 void fft_radix2(std::vector<std::complex<double>>& data);
 
 /// Magnitudes of the first floor(n/2) DFT bins of the +-1 signal of a bit
-/// sequence (1 -> +1, 0 -> -1), read straight from the bits.
+/// sequence (1 -> +1, 0 -> -1), read straight from the packed words.
 std::vector<double> dft_magnitudes(const bit_sequence& bits);
+
+/// How many of those magnitudes are below `threshold`: the same transform
+/// as dft_magnitudes, counted as it goes, so the spectral test never
+/// holds the n/2 magnitudes.
+std::size_t dft_count_below(const bit_sequence& bits, double threshold);
 
 } // namespace otf::nist

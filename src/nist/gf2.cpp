@@ -2,33 +2,32 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace otf::nist {
 
-unsigned gf2_rank(std::vector<std::uint64_t> rows, unsigned cols)
+unsigned gf2_rank(std::span<std::uint64_t> rows, unsigned cols)
 {
     if (cols > 64) {
         throw std::invalid_argument("gf2_rank: at most 64 columns");
     }
+    // Only the rows below a pivot are cleared: the rank is the number of
+    // pivots either way.  The clearing is branchless (a row takes the
+    // pivot row masked by its own bit in the pivot column).
+    const std::size_t n = rows.size();
     unsigned rank = 0;
-    for (unsigned col = 0; col < cols && rank < rows.size(); ++col) {
-        const std::uint64_t pivot_mask = std::uint64_t{1} << col;
-        // Find a pivot row at or below `rank`.
-        std::size_t pivot = rows.size();
-        for (std::size_t r = rank; r < rows.size(); ++r) {
-            if (rows[r] & pivot_mask) {
-                pivot = r;
-                break;
-            }
+    for (unsigned col = 0; col < cols && rank < n; ++col) {
+        std::size_t pivot = rank;
+        while (pivot < n && ((rows[pivot] >> col) & 1u) == 0) {
+            ++pivot;
         }
-        if (pivot == rows.size()) {
+        if (pivot == n) {
             continue;
         }
         std::swap(rows[rank], rows[pivot]);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-            if (r != rank && (rows[r] & pivot_mask)) {
-                rows[r] ^= rows[rank];
-            }
+        const std::uint64_t p = rows[rank];
+        for (std::size_t r = rank + 1; r < n; ++r) {
+            rows[r] ^= p & (std::uint64_t{0} - ((rows[r] >> col) & 1u));
         }
         ++rank;
     }

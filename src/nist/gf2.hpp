@@ -8,13 +8,13 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace otf::nist {
 
 /// Rank over GF(2) of a matrix given as row bitmasks (column j = bit j),
-/// `cols` <= 64.  Destroys nothing; operates on a copy.
-unsigned gf2_rank(std::vector<std::uint64_t> rows, unsigned cols);
+/// `cols` <= 64.  Forward elimination in place: the rows are overwritten.
+unsigned gf2_rank(std::span<std::uint64_t> rows, unsigned cols);
 
 /// Probability that a random m x q binary matrix has rank exactly r
 /// (product formula; exact in double precision for the 32 x 32 case).

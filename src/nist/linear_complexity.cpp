@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -20,15 +21,24 @@ struct bm_words {
     std::vector<std::uint64_t> t;
 };
 
-/// Pack an n-bit block back to front (bit k is s_{n-1-k}) followed by zero
-/// words, so that the window s_i, s_{i-1}, ..., s_{i-L} is the bit run that
-/// starts at offset n-1-i.
-template <class Bit>
-void pack_reversed(std::size_t n, Bit bit, std::vector<std::uint64_t>& out)
+/// Pack the n-bit block at bit `first` of a packed sequence back to front
+/// (bit k is s_{n-1-k}) followed by zero words, so that the window s_i,
+/// s_{i-1}, ..., s_{i-L} is the bit run that starts at offset n-1-i.  Each
+/// output word is one 64-bit read, reversed; the last, partial one holds
+/// the block's first bits.
+void pack_reversed(std::span<const std::uint64_t> words, std::size_t first,
+                   std::size_t n, std::vector<std::uint64_t>& out)
 {
     out.assign(n / 64 + 2, 0);
-    for (std::size_t k = 0; k < n; ++k) {
-        out[k / 64] |= std::uint64_t{bit(n - 1 - k)} << (k % 64);
+    for (std::size_t q = 0; 64 * q < n; ++q) {
+        const std::size_t done = 64 * q;
+        if (done + 64 <= n) {
+            out[q] = bits::reverse64(bits::read64(words, first + n - 64 - done));
+        } else {
+            const unsigned r = static_cast<unsigned>(n - done);
+            out[q] = bits::reverse64(bits::read64(words, first) & bits::low_mask(r))
+                >> (64 - r);
+        }
     }
 }
 
@@ -101,9 +111,13 @@ unsigned packed_berlekamp_massey(std::size_t n, bm_words& w)
 
 unsigned berlekamp_massey(const std::vector<std::uint8_t>& bits)
 {
+    bit_sequence seq;
+    seq.reserve(bits.size());
+    for (const std::uint8_t b : bits) {
+        seq.push_back((b & 1u) != 0);
+    }
     bm_words w;
-    pack_reversed(bits.size(), [&](std::size_t i) { return bits[i] & 1u; },
-                  w.reversed);
+    pack_reversed(seq.words(), 0, bits.size(), w.reversed);
     return packed_berlekamp_massey(bits.size(), w);
 }
 
@@ -139,9 +153,7 @@ linear_complexity_result linear_complexity_test(const bit_sequence& seq,
     for (std::uint64_t b = 0; b < blocks; ++b) {
         const std::size_t base =
             static_cast<std::size_t>(b) * block_length;
-        pack_reversed(block_length,
-                      [&](std::size_t i) { return seq[base + i] ? 1u : 0u; },
-                      w.reversed);
+        pack_reversed(seq.words(), base, block_length, w.reversed);
         const unsigned l = packed_berlekamp_massey(block_length, w);
         const double t =
             sign_m * (static_cast<double>(l) - xi) + 2.0 / 9.0;

@@ -2,26 +2,43 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace otf::nist {
 
 namespace {
 
-unsigned longest_ones_run(const bit_sequence& seq, std::size_t first,
-                          std::size_t length)
+/// Longest run of ones in bits [first, first + length), 64 bits at a time.
+/// A chunk of k bits that is all ones extends the run carried in from the
+/// previous chunk; otherwise the carried run ends at the chunk's leading
+/// ones, the chunk's own longest run is found by shift-AND (one step per
+/// bit of the answer), and the run carried out is its trailing ones.
+unsigned longest_ones_run(std::span<const std::uint64_t> words,
+                          std::size_t first, std::size_t length)
 {
     unsigned longest = 0;
     unsigned current = 0;
-    for (std::size_t i = 0; i < length; ++i) {
-        if (seq[first + i]) {
-            ++current;
-            if (current > longest) {
-                longest = current;
-            }
-        } else {
-            current = 0;
+    for (std::size_t done = 0; done < length; done += 64) {
+        const unsigned k = length - done < 64
+            ? static_cast<unsigned>(length - done)
+            : 64;
+        const std::uint64_t x =
+            bits::read64(words, first + done) & bits::low_mask(k);
+        if (x == bits::low_mask(k)) {
+            current += k;
+            longest = std::max(longest, current);
+            continue;
         }
+        longest = std::max(
+            longest, current + static_cast<unsigned>(std::countr_one(x)));
+        unsigned inner = 0;
+        for (std::uint64_t y = x; y != 0; y &= y >> 1) {
+            ++inner;
+        }
+        longest = std::max(longest, inner);
+        current = static_cast<unsigned>(std::countl_one(x << (64 - k)));
     }
     return longest;
 }
@@ -57,7 +74,7 @@ longest_run_result longest_run_test(const bit_sequence& seq,
     r.nu.assign(r.pi.size(), 0);
 
     for (std::size_t b = 0; b < block_count; ++b) {
-        const unsigned run = longest_ones_run(seq, b * block_length,
+        const unsigned run = longest_ones_run(seq.words(), b * block_length,
                                               block_length);
         unsigned category;
         if (run <= v_lo) {

@@ -2,7 +2,10 @@
 #include "nist/gf2.hpp"
 #include "nist/special_functions.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace otf::nist {
 
@@ -28,18 +31,24 @@ matrix_rank_result matrix_rank_test(const bit_sequence& seq, unsigned rows,
     r.one_less = 0;
     r.remaining = 0;
 
+    // Row r of a matrix is the `cols` bits at its offset, column j = bit j
+    // = the j-th bit of the row in stream order, which is how the packed
+    // words hold them: a 32 x 32 matrix is 1024 word-aligned bits, each row
+    // one half of a word.  Matrices of up to 64 rows live on the stack.
     const unsigned full = (rows < cols) ? rows : cols;
-    std::vector<std::uint64_t> matrix(rows);
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::uint64_t row_mask = bits::low_mask(cols);
+    std::array<std::uint64_t, 64> stack_rows;
+    std::vector<std::uint64_t> heap_rows(rows > stack_rows.size() ? rows : 0);
+    const std::span<std::uint64_t> matrix = rows > stack_rows.size()
+        ? std::span<std::uint64_t>(heap_rows)
+        : std::span<std::uint64_t>(stack_rows.data(), rows);
     for (std::uint64_t m = 0; m < matrices; ++m) {
         const std::size_t base = m * bits_per_matrix;
         for (unsigned row = 0; row < rows; ++row) {
-            std::uint64_t bits = 0;
-            for (unsigned col = 0; col < cols; ++col) {
-                if (seq[base + static_cast<std::size_t>(row) * cols + col]) {
-                    bits |= std::uint64_t{1} << col;
-                }
-            }
-            matrix[row] = bits;
+            matrix[row] = bits::read64(
+                              words, base + static_cast<std::size_t>(row) * cols)
+                & row_mask;
         }
         const unsigned rank = gf2_rank(matrix, cols);
         if (rank == full) {

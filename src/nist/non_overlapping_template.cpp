@@ -2,6 +2,7 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace otf::nist {
@@ -31,26 +32,35 @@ non_overlapping_template_result non_overlapping_template_test(
     r.w.reserve(block_count);
 
     // Non-overlapping scan: on a match the window restarts after the
-    // template (the hardware engine resets its shift-register fill).
+    // template (the hardware engine resets its shift-register fill).  The
+    // match mask covers 64 start positions at a time; a hit clears the
+    // mask up to the end of its template, and a hit near the end of a
+    // chunk carries the restart point into the next one.
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::size_t starts = block_length - template_length + 1;
     for (unsigned b = 0; b < block_count; ++b) {
         const std::size_t base = static_cast<std::size_t>(b) * block_length;
         std::uint64_t hits = 0;
-        std::size_t i = 0;
-        while (i + template_length <= block_length) {
-            bool match = true;
-            for (unsigned j = 0; j < template_length; ++j) {
-                const bool want =
-                    ((templ >> (template_length - 1 - j)) & 1u) != 0;
-                if (seq[base + i + j] != want) {
-                    match = false;
-                    break;
-                }
+        std::size_t next = 0; // first start a match may take (block-relative)
+        for (std::size_t i = 0; i < starts; i += 64) {
+            const unsigned valid = starts - i < 64
+                ? static_cast<unsigned>(starts - i)
+                : 64;
+            std::uint64_t mask =
+                template_match_mask(words, base + i, templ, template_length)
+                & bits::low_mask(valid);
+            if (next > i) {
+                mask = next - i >= 64 ? 0 : mask & ~bits::low_mask(
+                                                static_cast<unsigned>(next - i));
             }
-            if (match) {
+            while (mask != 0) {
+                const std::size_t end = static_cast<std::size_t>(
+                                            std::countr_zero(mask))
+                    + template_length;
                 ++hits;
-                i += template_length;
-            } else {
-                ++i;
+                next = i + end;
+                mask = end >= 64 ? 0 : mask & ~bits::low_mask(
+                                              static_cast<unsigned>(end));
             }
         }
         r.w.push_back(hits);

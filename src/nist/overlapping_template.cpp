@@ -2,9 +2,26 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace otf::nist {
+
+std::uint64_t template_match_mask(std::span<const std::uint64_t> words,
+                                  std::size_t pos, std::uint32_t templ,
+                                  unsigned m)
+{
+    // Template bit j (MSB-first) is compared with stream bits pos + j + k
+    // for all 64 k at once: the words starting at pos, shifted down by j.
+    const std::uint64_t lo = bits::read64(words, pos);
+    const std::uint64_t hi = bits::read64(words, pos + 64);
+    std::uint64_t mask = ~std::uint64_t{0};
+    for (unsigned j = 0; j < m; ++j) {
+        const std::uint64_t x = j == 0 ? lo : (lo >> j) | (hi << (64 - j));
+        mask &= ((templ >> (m - 1 - j)) & 1u) != 0 ? x : ~x;
+    }
+    return mask;
+}
 
 overlapping_template_result overlapping_template_test(const bit_sequence& seq,
                                                       unsigned template_length,
@@ -45,22 +62,18 @@ overlapping_template_result overlapping_template_test(const bit_sequence& seq,
     r.pi = overlapping_template_category_probs(templ, template_length,
                                                block_length, max_count);
 
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::size_t starts = block_length - template_length + 1;
     for (std::size_t b = 0; b < block_count; ++b) {
         const std::size_t base = b * block_length;
         std::uint64_t hits = 0;
-        for (std::size_t i = 0; i + template_length <= block_length; ++i) {
-            bool match = true;
-            for (unsigned j = 0; j < template_length; ++j) {
-                const bool want =
-                    ((templ >> (template_length - 1 - j)) & 1u) != 0;
-                if (seq[base + i + j] != want) {
-                    match = false;
-                    break;
-                }
-            }
-            if (match) {
-                ++hits;
-            }
+        for (std::size_t i = 0; i < starts; i += 64) {
+            const unsigned valid = starts - i < 64
+                ? static_cast<unsigned>(starts - i)
+                : 64;
+            hits += static_cast<std::uint64_t>(std::popcount(
+                template_match_mask(words, base + i, templ, template_length)
+                & bits::low_mask(valid)));
         }
         const std::size_t category =
             (hits >= max_count) ? max_count : static_cast<std::size_t>(hits);

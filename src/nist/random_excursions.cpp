@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 namespace otf::nist {
@@ -66,17 +67,24 @@ excursion_scan scan_cycles(const bit_sequence& seq)
             in_cycle[i] = 0;
         }
     };
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        s += seq[i] ? 1 : -1;
-        if (s == 0) {
-            close_cycle();
-            continue;
-        }
-        if (s >= -4 && s <= 4) {
-            ++in_cycle[inner_index(static_cast<int>(s))];
-        }
-        if (s >= -9 && s <= 9) {
-            ++scan.totals[variant_index(static_cast<int>(s))];
+    // One step per bit, the bits shifted out of each packed word in turn.
+    const std::span<const std::uint64_t> words = seq.words();
+    for (std::size_t j = 0; j < words.size(); ++j) {
+        std::uint64_t x = words[j];
+        const std::size_t steps =
+            seq.size() - 64 * j < 64 ? seq.size() - 64 * j : 64;
+        for (std::size_t k = 0; k < steps; ++k, x >>= 1) {
+            s += 2 * static_cast<std::int64_t>(x & 1u) - 1;
+            if (s == 0) {
+                close_cycle();
+                continue;
+            }
+            if (s >= -4 && s <= 4) {
+                ++in_cycle[inner_index(static_cast<int>(s))];
+            }
+            if (s >= -9 && s <= 9) {
+                ++scan.totals[variant_index(static_cast<int>(s))];
+            }
         }
     }
     if (s != 0) {

@@ -1,6 +1,7 @@
 #include "nist/special_functions.hpp"
 #include "nist/tests.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,13 +21,21 @@ runs_result runs_test(const bit_sequence& seq)
     const double tau = 2.0 / std::sqrt(n);
     r.applicable = std::fabs(r.pi - 0.5) < tau;
 
-    std::uint64_t runs = 1;
-    for (std::size_t i = 1; i < seq.size(); ++i) {
-        if (seq[i] != seq[i - 1]) {
-            ++runs;
+    // Runs = 1 + transitions between adjacent bits: the full words through
+    // the span kernel, then the partial last word and its seam.
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::size_t full = seq.size() / 64;
+    const unsigned tail = static_cast<unsigned>(seq.size() % 64);
+    std::uint64_t transitions = bits::span_transitions(words.data(), full);
+    if (tail != 0) {
+        const std::uint64_t x = words[full];
+        transitions += static_cast<std::uint64_t>(
+            std::popcount((x ^ (x >> 1)) & bits::low_mask(tail - 1)));
+        if (full != 0) {
+            transitions += (words[full - 1] >> 63) ^ (x & 1u);
         }
     }
-    r.v_n = runs;
+    r.v_n = 1 + transitions;
 
     if (!r.applicable) {
         r.p_value = 0.0;

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace otf::nist {
@@ -17,21 +18,47 @@ std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
         throw std::invalid_argument(
             "cyclic_pattern_counts: sequence shorter than pattern");
     }
-    std::vector<std::uint64_t> counts(std::size_t{1} << m, 0);
-    const std::uint32_t mask = (1u << m) - 1u;
-    // Prime the window with the first m-1 bits, then slide once per start
-    // position; positions near the end wrap around (cyclic extension).
-    std::uint32_t window = 0;
-    for (unsigned j = 0; j + 1 < m; ++j) {
-        window = ((window << 1) | (seq[j] ? 1u : 0u)) & mask;
-    }
+    // Count by the LSB-first window value (bit j = the window's j-th bit),
+    // then map each count to its MSB-first pattern at the end.
     const std::size_t n = seq.size();
-    for (std::size_t start = 0; start < n; ++start) {
-        const std::size_t last = (start + m - 1) % n;
-        window = ((window << 1) | (seq[last] ? 1u : 0u)) & mask;
-        ++counts[window];
+    const std::uint64_t mask = bits::low_mask(m);
+    std::vector<std::uint64_t> lsb(std::size_t{1} << m, 0);
+    const std::span<const std::uint64_t> words = seq.words();
+    // Starts whose window lies inside the sequence, 64 at a time from two
+    // words (hi << 1 << (63 - k) is hi << (64 - k) without the k = 0 UB).
+    const std::size_t inside = n - m + 1;
+    std::size_t p = 0;
+    for (; p + 64 <= inside; p += 64) {
+        const std::uint64_t lo = words[p / 64];
+        const std::uint64_t hi = bits::read64(words, p + 64);
+        for (unsigned k = 0; k < 64; ++k) {
+            ++lsb[((lo >> k) | ((hi << 1) << (63 - k))) & mask];
+        }
+    }
+    // The remaining starts, the m - 1 that wrap included: the sequence's
+    // tail followed by its first m - 1 bits, read straight through.
+    bit_sequence tail = seq.slice(p, n - p);
+    for (unsigned j = 0; j + 1 < m; ++j) {
+        tail.push_back(seq[j]);
+    }
+    for (std::size_t q = 0; p + q < n; ++q) {
+        ++lsb[bits::read64(tail.words(), q) & mask];
+    }
+    std::vector<std::uint64_t> counts(lsb.size(), 0);
+    for (std::uint64_t v = 0; v < lsb.size(); ++v) {
+        counts[bits::reverse64(v) >> (64 - m)] = lsb[v];
     }
     return counts;
+}
+
+std::vector<std::uint64_t> cyclic_pattern_marginal(
+    const std::vector<std::uint64_t>& counts)
+{
+    std::vector<std::uint64_t> marginal(counts.size() / 2);
+    for (std::size_t u = 0; u < marginal.size(); ++u) {
+        marginal[u] = counts[2 * u] + counts[2 * u + 1];
+    }
+    return marginal;
 }
 
 namespace {
@@ -97,18 +124,15 @@ serial_result serial_test(const bit_sequence& seq, unsigned m)
     }
     serial_result r;
     r.m = m;
+    // One pass over the words for the m-bit counts; the shorter ones are
+    // their marginals.
     r.nu_m = cyclic_pattern_counts(seq, m);
-    r.nu_m1 = cyclic_pattern_counts(seq, m - 1);
+    r.nu_m1 = cyclic_pattern_marginal(r.nu_m);
+    r.nu_m2 = cyclic_pattern_marginal(r.nu_m1);
     const std::size_t n = seq.size();
-    if (m == 2) {
-        // The "0-bit pattern" appears exactly n times; psi^2_0 is zero by
-        // definition (SP 800-22 section 2.11).
-        r.nu_m2 = {static_cast<std::uint64_t>(n)};
-        r.psi2_m2 = 0.0;
-    } else {
-        r.nu_m2 = cyclic_pattern_counts(seq, m - 2);
-        r.psi2_m2 = psi_squared(r.nu_m2, n);
-    }
+    // At m = 2 the "0-bit pattern" appears exactly n times (nu_m2 = {n});
+    // psi^2_0 is zero by definition (SP 800-22 section 2.11).
+    r.psi2_m2 = m == 2 ? 0.0 : psi_squared(r.nu_m2, n);
     r.psi2_m = psi_squared(r.nu_m, n);
     r.psi2_m1 = psi_squared(r.nu_m1, n);
     r.del1 = nabla_psi_squared(r.nu_m, m, n);

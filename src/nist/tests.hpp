@@ -18,6 +18,7 @@
 #include "base/bits.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace otf::nist {
@@ -169,8 +170,26 @@ double cumulative_sums_p_value(std::int64_t z, std::size_t n);
 // ---------------------------------------------------------------- helpers --
 /// Counts of all overlapping m-bit patterns with cyclic extension (the
 /// convention of the serial and approximate-entropy tests).  Index is the
-/// MSB-first pattern value; result has 2^m entries summing to n.
+/// MSB-first pattern value; result has 2^m entries summing to n.  One pass
+/// over the packed words: each 64 start positions read two words, and only
+/// the last (fewer than 64 + m) windows, the m - 1 that wrap included, go
+/// through a short extended tail.
 std::vector<std::uint64_t> cyclic_pattern_counts(const bit_sequence& seq,
                                                  unsigned m);
+
+/// The (m-1)-bit cyclic counts from the m-bit ones: the counts of the
+/// patterns' first m - 1 bits, nu_{m-1}[u] = nu_m[2u] + nu_m[2u+1] (exact,
+/// because every cyclic window extends to exactly one longer one).
+std::vector<std::uint64_t> cyclic_pattern_marginal(
+    const std::vector<std::uint64_t>& counts);
+
+/// Template matches at 64 consecutive start positions: bit k is set iff
+/// the m-bit template (MSB-first in stream order, m <= 31) matches the
+/// bits that start at position pos + k of the packed sequence.  Windows
+/// that run past the end read zeros, so callers mask the positions they
+/// count.  The template tests' word kernel.
+std::uint64_t template_match_mask(std::span<const std::uint64_t> words,
+                                  std::size_t pos, std::uint32_t templ,
+                                  unsigned m);
 
 } // namespace otf::nist

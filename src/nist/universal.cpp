@@ -2,6 +2,7 @@
 #include "nist/special_functions.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace otf::nist {
@@ -87,14 +88,16 @@ universal_result universal_test(const bit_sequence& seq,
     // Last-occurrence table over all 2^L patterns -- the storage that
     // makes this test unsuitable for the on-chip hardware (Table I).
     std::vector<std::uint64_t> last_seen(std::size_t{1} << block_length, 0);
+    // Block i as one 64-bit read of its L bits, LSB-first.  The table only
+    // needs each pattern to have its own slot, so the bit order of the
+    // index (SP 800-22 reads blocks MSB-first) does not change the
+    // distances it yields.
+    const std::span<const std::uint64_t> words = seq.words();
+    const std::uint64_t mask = bits::low_mask(block_length);
     const auto block_value = [&](std::uint64_t index) {
-        std::uint32_t v = 0;
         const std::size_t base =
             static_cast<std::size_t>(index) * block_length;
-        for (unsigned j = 0; j < block_length; ++j) {
-            v = (v << 1) | (seq[base + j] ? 1u : 0u);
-        }
-        return v;
+        return static_cast<std::uint32_t>(bits::read64(words, base) & mask);
     };
 
     for (std::uint64_t i = 1; i <= init_blocks; ++i) {

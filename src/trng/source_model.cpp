@@ -503,13 +503,21 @@ lockin_source::lockin_source(std::unique_ptr<entropy_source> inner,
 
 std::uint64_t lockin_source::pattern_word(std::size_t phase) const
 {
+    // 64 pattern bits from `phase` on, wrapping at the period: one read of
+    // the packed pattern per stretch up to its end.
     const std::size_t period = pattern_.size();
     std::uint64_t pat = 0;
-    for (unsigned i = 0; i < 64; ++i) {
-        pat |= static_cast<std::uint64_t>(pattern_[(phase + i) % period]
-                                              ? 1
-                                              : 0)
-            << i;
+    unsigned filled = 0;
+    std::size_t pos = phase % period;
+    while (filled < 64) {
+        const std::size_t left = period - pos;
+        const unsigned take = left < 64 - filled
+            ? static_cast<unsigned>(left)
+            : 64 - filled;
+        pat |= (bits::read64(pattern_.words(), pos) & bits::low_mask(take))
+            << filled;
+        filled += take;
+        pos = pos + take == period ? 0 : pos + take;
     }
     return pat;
 }

@@ -6,7 +6,8 @@
 //   testing::Values / ValuesIn / Range / Combine, TestParamInfo name
 //   generators
 //   EXPECT_/ASSERT_ comparison macros, EXPECT_NEAR / EXPECT_DOUBLE_EQ,
-//   EXPECT_THROW / EXPECT_NO_THROW, GTEST_SKIP, << message streaming
+//   EXPECT_THROW / EXPECT_NO_THROW, GTEST_SKIP, SCOPED_TRACE, << message
+//   streaming
 //
 // Semantics follow gtest: EXPECT_* records a failure and continues,
 // ASSERT_* returns from the enclosing function, GTEST_SKIP() in SetUp or a
@@ -40,6 +41,24 @@ struct TestResult {
 };
 
 TestResult& current_result();
+
+/// SCOPED_TRACE messages in force, outermost first ("file:line: message");
+/// each failure prints them under its own message, as GoogleTest does.
+std::vector<std::string>& scoped_traces();
+
+class ScopedTrace {
+public:
+    template <class T>
+    ScopedTrace(const char* file, int line, const T& message)
+    {
+        std::ostringstream out;
+        out << file << ":" << line << ": " << message;
+        scoped_traces().push_back(out.str());
+    }
+    ~ScopedTrace() { scoped_traces().pop_back(); }
+    ScopedTrace(const ScopedTrace&) = delete;
+    ScopedTrace& operator=(const ScopedTrace&) = delete;
+};
 
 struct RegisteredTest {
     std::string suite;
@@ -576,6 +595,13 @@ inline void InitGoogleTest(int* = nullptr, char** = nullptr) {}
 #define ASSERT_NO_THROW(statement) OTF_GTEST_AR_(OTF_GTEST_NO_THROW_RESULT_(statement), OTF_GTEST_FATAL_)
 
 #define ADD_FAILURE() OTF_GTEST_NONFATAL_("Failure")
+
+#define OTF_GTEST_CONCAT_INNER_(a, b) a##b
+#define OTF_GTEST_CONCAT_(a, b) OTF_GTEST_CONCAT_INNER_(a, b)
+#define SCOPED_TRACE(message)                                                \
+    const ::otf_gtest::ScopedTrace OTF_GTEST_CONCAT_(otf_gtest_trace_,      \
+                                                     __LINE__)(              \
+        __FILE__, __LINE__, (message))
 #define FAIL() OTF_GTEST_FATAL_("Failure")
 #define SUCCEED()                                                            \
     static_cast<void>(0)

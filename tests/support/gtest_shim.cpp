@@ -15,6 +15,12 @@ TestResult& current_result()
     return result;
 }
 
+std::vector<std::string>& scoped_traces()
+{
+    static std::vector<std::string> traces;
+    return traces;
+}
+
 std::vector<RegisteredTest>& registry()
 {
     static std::vector<RegisteredTest> tests;
@@ -121,6 +127,13 @@ void AssertHelper::operator=(const Message& message) const
     const std::string user = message.str();
     if (!user.empty()) {
         std::printf("%s\n", user.c_str());
+    }
+    const auto& traces = ::otf_gtest::scoped_traces();
+    if (!traces.empty()) {
+        std::printf("Google Test trace:\n");
+        for (auto it = traces.rbegin(); it != traces.rend(); ++it) {
+            std::printf("%s\n", it->c_str());
+        }
     }
 }
 

@@ -198,6 +198,35 @@ TEST(critical_values, smallest_design_at_extreme_alpha)
     }
 }
 
+TEST(critical_values, q_round_rejects_what_int64_cannot_hold)
+{
+    EXPECT_EQ(core::q_round(0.25, 12), 1024);
+    EXPECT_EQ(core::q_round(-1.5, 0), -2);
+    EXPECT_EQ(core::q_round(std::ldexp(1.0, 62), 0),
+              std::int64_t{1} << 62);
+    EXPECT_THROW((void)core::q_round(INFINITY, 12), std::domain_error);
+    EXPECT_THROW((void)core::q_round(-INFINITY, 12), std::domain_error);
+    EXPECT_THROW((void)core::q_round(NAN, 12), std::domain_error);
+    EXPECT_THROW((void)core::q_round(std::ldexp(1.0, 70), 0),
+                 std::domain_error);
+    EXPECT_THROW((void)core::q_round(std::ldexp(1.0, 63), 0),
+                 std::domain_error);
+    EXPECT_THROW((void)core::q_round(1.0, 64), std::domain_error);
+}
+
+TEST(critical_values, zero_probability_category_is_rejected)
+{
+    // A 16-bit overlapping block holds at most 8 all-ones 9-bit matches,
+    // so the ">= 9" category is empty and its weight 1/pi infinite.
+    hw::block_config cfg = cfg_high;
+    cfg.t8_log2_m = 4;
+    cfg.t8_max_count = 9;
+    EXPECT_THROW((void)compute_critical_values(cfg, 0.01),
+                 std::domain_error);
+    cfg.t8_max_count = 8;
+    EXPECT_NO_THROW((void)compute_critical_values(cfg, 0.01));
+}
+
 TEST(critical_values, nist_alpha_range_is_supported)
 {
     // NIST recommends alpha in [0.001, 0.01]; both ends must work for

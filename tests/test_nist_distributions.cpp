@@ -1,7 +1,9 @@
 // Tests of the exact combinatorial distributions: the longest-run
 // recurrence against the NIST-tabulated category probabilities and against
 // brute-force enumeration; the overlapping-template automaton DP against
-// the published pi table and Monte-Carlo; aperiodic template generation.
+// the published pi table, Monte-Carlo and the paper designs' parameters;
+// aperiodic template generation.
+#include "core/design_config.hpp"
 #include "nist/distributions.hpp"
 #include "trng/xoshiro.hpp"
 
@@ -97,6 +99,53 @@ TEST(overlapping_probs, reproduces_nist_published_pi)
     EXPECT_NEAR(pi[3], 0.100571, 1e-6);
     EXPECT_NEAR(pi[4], 0.070432, 1e-6);
     EXPECT_NEAR(pi[5], 0.139865, 1e-6);
+}
+
+TEST(overlapping_probs, battery_parameters_are_pinned)
+{
+    // m = 9, M = 1024, K = 5: the offline battery's overlapping test and
+    // the paper designs' t8 default.  Every weight 1/pi the platform
+    // derives from these must be finite.
+    const auto pi =
+        overlapping_template_category_probs((1u << 9) - 1, 9, 1024, 5);
+    const std::vector<double> want = {0.366974, 0.18567,   0.139019,
+                                      0.100085, 0.0699535, 0.138299};
+    ASSERT_EQ(pi.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+        EXPECT_NEAR(pi[c], want[c], 1e-6) << "category " << c;
+    }
+}
+
+TEST(overlapping_probs, every_paper_design_has_positive_categories)
+{
+    unsigned designs = 0;
+    for (const hw::block_config& cfg : core::all_paper_designs()) {
+        if (!cfg.tests.has(hw::test_id::overlapping_template)) {
+            continue;
+        }
+        ++designs;
+        const auto pi = overlapping_template_category_probs(
+            cfg.t8_template, cfg.template_length, 1u << cfg.t8_log2_m,
+            cfg.t8_max_count);
+        ASSERT_EQ(pi.size(), cfg.t8_max_count + 1u) << cfg.name;
+        for (std::size_t c = 0; c < pi.size(); ++c) {
+            EXPECT_GT(pi[c], 0.0) << cfg.name << " category " << c;
+        }
+        EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-12)
+            << cfg.name;
+    }
+    EXPECT_GT(designs, 0u);
+}
+
+TEST(overlapping_probs, impossible_counts_have_probability_zero)
+{
+    // At most 8 overlapping all-ones 9-bit matches fit in 16 bits.
+    const auto pi =
+        overlapping_template_category_probs((1u << 9) - 1, 9, 16, 9);
+    ASSERT_EQ(pi.size(), 10u);
+    EXPECT_GT(pi[8], 0.0);
+    EXPECT_EQ(pi[9], 0.0);
+    EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-12);
 }
 
 TEST(overlapping_probs, sums_to_one)

@@ -35,14 +35,16 @@ using namespace otf::nist;
 // ------------------------------------------------------------------ GF(2) --
 TEST(gf2, rank_of_known_matrices)
 {
-    // Identity.
-    EXPECT_EQ(gf2_rank({0b001, 0b010, 0b100}, 3), 3u);
-    // Repeated row.
-    EXPECT_EQ(gf2_rank({0b011, 0b011, 0b100}, 3), 2u);
+    // gf2_rank eliminates in place, so each matrix is its own array.
+    std::uint64_t identity[] = {0b001, 0b010, 0b100};
+    EXPECT_EQ(gf2_rank(identity, 3), 3u);
+    std::uint64_t repeated_row[] = {0b011, 0b011, 0b100};
+    EXPECT_EQ(gf2_rank(repeated_row, 3), 2u);
     // Row is the XOR of the others.
-    EXPECT_EQ(gf2_rank({0b011, 0b101, 0b110}, 3), 2u);
-    // Zero matrix.
-    EXPECT_EQ(gf2_rank({0, 0, 0}, 3), 0u);
+    std::uint64_t dependent[] = {0b011, 0b101, 0b110};
+    EXPECT_EQ(gf2_rank(dependent, 3), 2u);
+    std::uint64_t zero[] = {0, 0, 0};
+    EXPECT_EQ(gf2_rank(zero, 3), 0u);
 }
 
 TEST(gf2, rank_distribution_matches_exhaustive_enumeration)
@@ -50,7 +52,7 @@ TEST(gf2, rank_distribution_matches_exhaustive_enumeration)
     // All 512 3x3 binary matrices, exact.
     std::vector<unsigned> histogram(4, 0);
     for (unsigned bits = 0; bits < 512; ++bits) {
-        const std::vector<std::uint64_t> rows = {
+        std::vector<std::uint64_t> rows = {
             bits & 7u, (bits >> 3) & 7u, (bits >> 6) & 7u};
         ++histogram[gf2_rank(rows, 3)];
     }
@@ -361,7 +363,11 @@ std::vector<std::uint8_t> random_block(std::size_t n, std::uint64_t seed)
 {
     trng::ideal_source src(seed);
     const bit_sequence bits = src.generate(n);
-    return {bits.begin(), bits.end()};
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = bits[i] ? 1 : 0;
+    }
+    return out;
 }
 
 /// n bits of the LFSR s_i = sum_{j=1..d} taps_j s_{i-j} whose feedback

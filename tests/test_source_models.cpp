@@ -249,6 +249,23 @@ TEST(lockin_model, full_lock_reproduces_the_pattern)
     EXPECT_EQ(src.generate(8).to_string(), "01010101");
 }
 
+TEST(lockin_model, full_lock_wraps_patterns_of_any_period)
+{
+    // Periods around and across the 64-bit word: the locked stream is the
+    // pattern repeated, whatever the phase at each word.
+    for (const std::size_t period : {1u, 2u, 5u, 63u, 64u, 65u, 130u}) {
+        trng::ideal_source pattern_src(fixture_seed(16) + period);
+        const bit_sequence pattern = pattern_src.generate(period);
+        lockin_source src(healthy(fixture_seed(12)), fixture_seed(13),
+                          pattern);
+        const bit_sequence seq = src.generate(1000);
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+            ASSERT_EQ(seq[i], pattern[i % period])
+                << "period " << period << " bit " << i;
+        }
+    }
+}
+
 TEST(lockin_model, partial_lock_raises_the_transition_rate)
 {
     lockin_source src(healthy(fixture_seed(14)), fixture_seed(15));
